@@ -46,7 +46,6 @@ from .transfer import (
     TransferMatrix,
     build_matrix,
     dominant_eigenvalue,
-    jacobi_eigenvalues,
     log_partition_function,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "investment_q3_case1",
     "investment_q3_case2",
     "investment_q3_case3",
-    "jacobi_eigenvalues",
     "log_partition_function",
     "make_profile",
     "partition_function_bruteforce",

@@ -17,6 +17,7 @@ and, for ensembles, the seed).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 
@@ -123,6 +124,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit numeric-vs-closed-form errors instead of the curve",
     )
     return p
+
+
+# List flags whose value may begin with a minus sign.  argparse reads a
+# token such as "-1.0,1.0" as an unknown flag, so such a value is joined to
+# its flag with '=' before parsing, which argparse always takes as a value.
+_LIST_FLAGS = ("--couplings", "--seeds")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _LIST_FLAGS and _NEGATIVE_VALUE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -406,8 +424,10 @@ def _run_compare(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_lists(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -319,6 +319,29 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestNegativeListValues:
+    """A list value after a space is read like the '=' form, even with a minus sign."""
+
+    def test_negative_couplings(self, capsys):
+        grid = ("--beta-max", "2", "--beta-count", "3")
+        assert run_cli("--q", "2", "--couplings=-1.0,1.0", *grid) == 0
+        joined = capsys.readouterr().out
+        assert run_cli("--q", "2", "--couplings", "-1.0,1.0", *grid) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_negative_seeds(self, capsys):
+        grid = ("--beta-max", "2", "--beta-count", "3")
+        assert run_cli("--q", "3", "--profile", "random", "--seeds=-1,2", *grid) == 0
+        joined = capsys.readouterr().out
+        assert run_cli("--q", "3", "--profile", "random", "--seeds", "-1,2", *grid) == 0
+        assert capsys.readouterr().out == joined
+        assert ",-1\n" in joined
+
+    def test_missing_value_is_still_an_error(self, capsys):
+        assert run_cli("--couplings", "--q", "3") == 2
+        assert "--couplings" in capsys.readouterr().err
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

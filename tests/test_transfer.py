@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsinvest import (
     ConvergenceError,
@@ -11,7 +13,6 @@ from pottsinvest import (
     ModelParams,
     build_matrix,
     dominant_eigenvalue,
-    jacobi_eigenvalues,
     log_partition_function,
     partition_function_bruteforce,
 )
@@ -23,6 +24,11 @@ def params_for(q, beta, couplings, field=0.0):
 
 def raw_matrix(m):
     return m.entries * math.exp(m.log_scale)
+
+
+def logsumexp(x):
+    top = float(np.max(x))
+    return top + math.log(float(np.sum(np.exp(x - top))))
 
 
 class TestBuildMatrix:
@@ -145,33 +151,6 @@ class TestDominantEigenvalue:
             dominant_eigenvalue(m, max_iter=0)
 
 
-class TestJacobi:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_matches_reference_spectrum(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        got = np.sort(jacobi_eigenvalues(a))
-        want = np.sort(np.linalg.eigvalsh(a))
-        assert got == pytest.approx(want, abs=1e-12 * float(np.linalg.norm(a)) + 1e-13)
-
-    def test_transfer_spectrum_reproduces_trace(self):
-        m = build_matrix(params_for(4, 1.3, (0.2, -1.0, 0.8, -0.3), field=0.4))
-        lam = jacobi_eigenvalues(m.entries)
-        assert float(lam.sum()) == pytest.approx(float(np.trace(m.entries)), rel=1e-12)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(jacobi_eigenvalues(np.zeros((3, 3))), np.zeros(3))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestLogPartitionFunction:
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (7, 11)])
     def test_infinite_temperature(self, q, n):
@@ -212,3 +191,35 @@ class TestLogPartitionFunction:
             log_partition_function(p, 0)
         with pytest.raises(ValueError):
             log_partition_function(p, True)
+
+    @given(
+        q=st.integers(2, 300),
+        field=st.floats(0.05, 1.0),
+        negative_field=st.booleans(),
+        beta_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_traces_at_any_q(self, q, field, negative_field, beta_fraction, seed):
+        # Z_1, Z_2 and Z_3 are traces of M, M^2 and M^3, computed here from
+        # the raw exponents x_ab with no eigensolver and no enumeration.
+        # Z_3 is an odd power, so negative eigenvalues must subtract.
+        j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
+        if negative_field:
+            field = -field
+        d = np.arange(q, dtype=float)
+        x_unit = -(np.diag(j) + field * (d[:, None] + d[None, :]) / 2.0)
+        # beta is capped so that the entries span at most e^10.
+        beta = beta_fraction * 10.0 / float(x_unit.max() - x_unit.min())
+        x = beta * x_unit
+        s = float(x.max())
+        e = np.exp(x - s)
+        want = {
+            1: logsumexp(np.diag(x)),
+            2: logsumexp(2.0 * x),
+            3: 3.0 * s + math.log(float(np.trace(e @ e @ e))),
+        }
+        p = params_for(q, beta, j, field=field)
+        for n, log_z in want.items():
+            got = log_partition_function(p, n)
+            assert abs(got - log_z) <= 1e-10 * max(1.0, abs(log_z)), n
