@@ -337,6 +337,13 @@ class TestNegativeListValues:
         assert capsys.readouterr().out == joined
         assert ",-1\n" in joined
 
+    def test_negative_value_with_leading_point(self, capsys):
+        grid = ("--beta-max", "2", "--beta-count", "3")
+        assert run_cli("--q", "2", "--couplings=-.5,1.0", *grid) == 0
+        joined = capsys.readouterr().out
+        assert run_cli("--q", "2", "--couplings", "-.5,1.0", *grid) == 0
+        assert capsys.readouterr().out == joined
+
     def test_missing_value_is_still_an_error(self, capsys):
         assert run_cli("--couplings", "--q", "3") == 2
         assert "--couplings" in capsys.readouterr().err

@@ -192,6 +192,27 @@ class TestLogPartitionFunction:
         with pytest.raises(ValueError):
             log_partition_function(p, True)
 
+    def test_drops_exact_zero_eigenvalues(self, monkeypatch):
+        # An exact zero would put log(0) into the log-sum-exp; it adds
+        # nothing to Z_N and is dropped before the logarithm is taken.
+        p = params_for(2, 0.8, (0.3, -0.4), field=0.2)
+        scale = build_matrix(p).log_scale
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.0, 0.5, 1.0]))
+        with np.errstate(all="raise"):
+            got = log_partition_function(p, 3)
+        assert got == pytest.approx(3 * scale + math.log(1.125), rel=1e-13)
+
+    def test_cancelled_sum_raises(self, monkeypatch):
+        # At odd N a spectrum of +x and -x sums to zero, which has no log.
+        p = params_for(2, 0.8, (0.3, -0.4), field=0.2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([-0.5, 0.5]))
+        with pytest.raises(ConvergenceError, match="cancellation"):
+            log_partition_function(p, 3)
+        assert log_partition_function(p, 2) == pytest.approx(
+            2 * build_matrix(p).log_scale + math.log(0.5), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @given(
         q=st.integers(2, 300),
         field=st.floats(0.05, 1.0),
@@ -200,7 +221,7 @@ class TestLogPartitionFunction:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_exact_traces_at_any_q(self, q, field, negative_field, beta_fraction, seed):
+    def test_exact_traces_at_any_q(self, n, q, field, negative_field, beta_fraction, seed):
         # Z_1, Z_2 and Z_3 are traces of M, M^2 and M^3, computed here from
         # the raw exponents x_ab with no eigensolver and no enumeration.
         # Z_3 is an odd power, so negative eigenvalues must subtract.
@@ -212,14 +233,13 @@ class TestLogPartitionFunction:
         # beta is capped so that the entries span at most e^10.
         beta = beta_fraction * 10.0 / float(x_unit.max() - x_unit.min())
         x = beta * x_unit
-        s = float(x.max())
-        e = np.exp(x - s)
-        want = {
-            1: logsumexp(np.diag(x)),
-            2: logsumexp(2.0 * x),
-            3: 3.0 * s + math.log(float(np.trace(e @ e @ e))),
-        }
-        p = params_for(q, beta, j, field=field)
-        for n, log_z in want.items():
-            got = log_partition_function(p, n)
-            assert abs(got - log_z) <= 1e-10 * max(1.0, abs(log_z)), n
+        if n == 1:
+            want = logsumexp(np.diag(x))
+        elif n == 2:
+            want = logsumexp(2.0 * x)
+        else:
+            s = float(x.max())
+            e = np.exp(x - s)
+            want = 3.0 * s + math.log(float(np.trace(e @ e @ e)))
+        got = log_partition_function(params_for(q, beta, j, field=field), n)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
