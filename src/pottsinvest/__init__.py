@@ -3,8 +3,11 @@
 The model couples neighbouring agents on a ring through per-level
 interaction strengths and an external bias; the package computes the
 expected investment per agent as a function of the control parameter beta,
-exactly where closed forms exist and spectrally (transfer matrix plus
-extrapolated finite differences) everywhere else.
+in closed form for q = 2 and the integrable q = 3 cases, and for any q from
+the dominant eigenvector of the transfer matrix, which solves a scalar
+secular equation, through the Hellmann-Feynman identity
+l = sum_a d_a v_a^2.  The paper's finite-difference route stays available
+as a cross-check through an explicit ``StencilConfig``.
 """
 
 from .closedform import (
@@ -22,8 +25,6 @@ from .derivatives import (
     StencilConfig,
     SweepError,
     central_difference,
-    eigen_derivative_four_point,
-    eigen_derivative_two_point,
     per_capita_investment,
     richardson_difference,
     sweep_curve,
@@ -42,7 +43,6 @@ from .model import (
 from .profiles import ProfileSpec, SeedEnsemble, SplitMix64, ensemble_sweep, make_profile
 from .transfer import (
     ConvergenceError,
-    DominantEigen,
     TransferMatrix,
     build_matrix,
     dominant_eigenvalue,
@@ -55,7 +55,6 @@ __all__ = [
     "ENUMERATION_STATE_CAP",
     "ConvergenceError",
     "CouplingProfile",
-    "DominantEigen",
     "EnumerationCapError",
     "InvestmentCurve",
     "LimitClassification",
@@ -73,8 +72,6 @@ __all__ = [
     "central_difference",
     "classify_limits",
     "dominant_eigenvalue",
-    "eigen_derivative_four_point",
-    "eigen_derivative_two_point",
     "ensemble_sweep",
     "expected_investment_bruteforce",
     "hamiltonian",

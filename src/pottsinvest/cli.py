@@ -3,9 +3,11 @@
 One command, two modes.  The default mode sweeps l(beta) over a grid and
 writes CSV rows ``beta,l`` (or ``beta,l,seed`` for random-profile
 ensembles, where the pointwise mean series is tagged ``seed=mean``).  With
-``--compare`` the numeric pipeline is evaluated against the matching exact
+``--compare`` the numeric curve is evaluated against the matching exact
 closed form (q = 2, or the three integrable q = 3 coupling patterns) and
-the per-point absolute error is emitted instead.
+the per-point absolute error is emitted instead.  Every l(beta) comes from
+the exact secular-equation path of :func:`.derivatives.per_capita_investment`;
+the finite-difference stencil is a library-only cross-check.
 
 Configuration comes from flags, from a ``key=value`` file via ``--config``
 (``#`` starts a comment), or both; flags override the file.  Floats are
@@ -30,7 +32,7 @@ from .closedform import (
     investment_q3_case2,
     investment_q3_case3,
 )
-from .derivatives import InvestmentCurve, StencilConfig, SweepError, sweep_curve
+from .derivatives import InvestmentCurve, SweepError, sweep_curve
 from .model import CouplingProfile, ModelParams
 from .profiles import ProfileSpec, ensemble_sweep, make_profile
 from .transfer import ConvergenceError
@@ -44,8 +46,6 @@ _DEFAULTS = {
     "beta_max": 10.0,
     "beta_count": 200,
     "log_grid": False,
-    "xi": 1e-4,
-    "order": 4,
     "out": "-",
     "emit_limits": False,
     "compare": False,
@@ -67,8 +67,6 @@ class RunConfig:
     beta_max: float
     beta_count: int
     log_grid: bool
-    xi: float
-    order: int
     seeds: tuple[int, ...] | None
     out: str
     emit_limits: bool
@@ -101,13 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const=True,
         help="space the grid logarithmically (requires beta-min > 0)",
-    )
-    p.add_argument("--xi", type=float, help="stencil step for the bias derivative (default 1e-4)")
-    p.add_argument(
-        "--order",
-        type=int,
-        choices=(2, 4),
-        help="derivative stencil: 2 = central difference, 4 = extrapolated (default)",
     )
     p.add_argument("--seeds", metavar="S1,S2,...", help="seeds for random-profile ensembles")
     p.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (default)")
@@ -175,8 +166,6 @@ _FILE_KEYS = {
     "beta_max": float,
     "beta_count": int,
     "log_grid": _parse_bool,
-    "xi": float,
-    "order": int,
     "seeds": str,
     "out": str,
     "emit_limits": _parse_bool,
@@ -249,9 +238,6 @@ def _validate(settings: dict) -> RunConfig:
         raise ConfigError("the random profile requires --seeds")
     if seeds is not None and profile != "random":
         raise ConfigError("seeds are only meaningful with --profile random")
-    order = settings["order"]
-    if order not in (2, 4):
-        raise ConfigError("order must be 2 or 4")
     cfg = RunConfig(
         q=int(q),
         profile=profile,
@@ -260,8 +246,6 @@ def _validate(settings: dict) -> RunConfig:
         beta_max=float(settings["beta_max"]),
         beta_count=int(settings["beta_count"]),
         log_grid=bool(settings["log_grid"]),
-        xi=float(settings["xi"]),
-        order=int(order),
         seeds=seeds,
         out=str(settings["out"]),
         emit_limits=bool(settings["emit_limits"]),
@@ -288,14 +272,6 @@ def _beta_grid(cfg: RunConfig) -> list[float]:
             raise ConfigError("log grid requires beta-min > 0")
         return [float(b) for b in np.geomspace(cfg.beta_min, cfg.beta_max, cfg.beta_count)]
     return [float(b) for b in np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_count)]
-
-
-def _stencil(cfg: RunConfig) -> StencilConfig:
-    order = "two_point" if cfg.order == 2 else "four_point"
-    try:
-        return StencilConfig(xi=cfg.xi, order=order)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _resolve_couplings(cfg: RunConfig) -> CouplingProfile:
@@ -359,7 +335,7 @@ def _curve_rows(curve: InvestmentCurve, seed_label: str | None) -> list[str]:
 def _run_single(cfg: RunConfig) -> int:
     couplings = _resolve_couplings(cfg)
     params = _make_params(cfg, couplings)
-    curve = sweep_curve(params, _beta_grid(cfg), _stencil(cfg))
+    curve = sweep_curve(params, _beta_grid(cfg))
     lines = ["beta,l"]
     lines.extend(_curve_rows(curve, None))
     if cfg.emit_limits:
@@ -369,7 +345,7 @@ def _run_single(cfg: RunConfig) -> int:
 
 
 def _run_ensemble(cfg: RunConfig) -> int:
-    ensemble = ensemble_sweep(cfg.q, cfg.seeds, _beta_grid(cfg), _stencil(cfg))
+    ensemble = ensemble_sweep(cfg.q, cfg.seeds, _beta_grid(cfg))
     lines = ["beta,l,seed"]
     for seed, curve in zip(ensemble.seeds, ensemble.curves):
         lines.extend(_curve_rows(curve, str(seed)))
@@ -407,7 +383,7 @@ def _run_compare(cfg: RunConfig) -> int:
     closed = _closed_form_for(cfg, couplings)
     params = _make_params(cfg, couplings)
     grid = _beta_grid(cfg)
-    curve = sweep_curve(params, grid, _stencil(cfg))
+    curve = sweep_curve(params, grid)
     lines = ["beta,l_numeric,l_closed_form,abs_error"]
     max_err = 0.0
     for b, numeric in curve.points:

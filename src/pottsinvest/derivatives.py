@@ -1,11 +1,18 @@
-"""Numerical bias-derivatives of the dominant eigenvalue and investment sweeps.
+"""Per-capita investment l(beta) of the infinite ring, and beta sweeps.
 
 The per-capita investment at inverse control parameter beta is
 
     l(beta) = -(1 / beta) * (d lambda_1 / dD) / lambda_1   at D = 0,
 
-with lambda_1 the dominant transfer-matrix eigenvalue.  The derivative is
-taken by central differencing in the bias D.  Two stencils are offered:
+with lambda_1 the dominant transfer-matrix eigenvalue.  By Hellmann-Feynman
+(Feynman, Phys. Rev. 56, 1939) the bias derivative is exact in terms of the
+unit dominant eigenvector v: l = sum_a d_a v_a^2, a convex combination of
+the levels.  That is the default path, with v from the secular equation in
+:mod:`.transfer`.
+
+The paper instead differentiates numerically; passing a
+:class:`StencilConfig` reproduces that as a cross-check.  Two stencils are
+offered:
 
     two_point:   (f(xi) - f(-xi)) / (2 xi)                      error O(xi^2)
     four_point:  4/3 * two_point(xi) - 1/3 * two_point(2 xi)    error O(xi^4)
@@ -23,8 +30,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
+import numpy as np
+
 from .model import ModelParams
-from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL, build_matrix, dominant_eigenvalue
+from .transfer import build_matrix, dominant_eigenvalue
 
 __all__ = [
     "StencilConfig",
@@ -32,8 +41,6 @@ __all__ = [
     "SweepError",
     "central_difference",
     "richardson_difference",
-    "eigen_derivative_two_point",
-    "eigen_derivative_four_point",
     "per_capita_investment",
     "sweep_curve",
 ]
@@ -44,22 +51,16 @@ _ORDERS = ("two_point", "four_point")
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """Stencil step, stencil order, and eigensolver budget."""
+    """Step and order of the finite-difference cross-check."""
 
     xi: float = 1e-4
     order: Order = "four_point"
-    eigen_tol: float = DEFAULT_TOL
-    eigen_max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.xi) or self.xi <= 0.0:
             raise ValueError("xi must be finite and positive")
         if self.order not in _ORDERS:
             raise ValueError(f"order must be one of {_ORDERS}")
-        if self.eigen_tol <= 0.0:
-            raise ValueError("eigen_tol must be positive")
-        if self.eigen_max_iter < 1:
-            raise ValueError("eigen_max_iter must be at least 1")
 
 
 class SweepError(RuntimeError):
@@ -110,73 +111,48 @@ def _require_zero_field(params: ModelParams) -> None:
         raise ValueError("derivatives are taken at zero external bias (field = 0)")
 
 
-def _scaled_eigen_fn(params: ModelParams, cfg: StencilConfig):
-    """Scaled dominant eigenvalue as a function of the bias offset.
+def _stencil_investment(params: ModelParams, cfg: StencilConfig) -> float:
+    """l(beta) from the bias derivative of the scaled dominant eigenvalue.
 
-    Returns (f, lam0, s0) where f(offset) solves the matrix built at
-    field=offset under the common scale s0 of the zero-offset matrix, and
-    lam0 = f(0.0) is the zero-offset scaled eigenvalue.
+    Every matrix is built under the log scale of the zero-offset matrix,
+    so the scale cancels in the ratio.
     """
-    base = build_matrix(params)
-    s0 = base.log_scale
+    s0 = build_matrix(params).log_scale
 
     def f(offset: float) -> float:
-        m = base if offset == 0.0 else build_matrix(
-            replace(params, field=offset), log_scale=s0
-        )
-        return dominant_eigenvalue(m, cfg.eigen_tol, cfg.eigen_max_iter).value_scaled
+        m = build_matrix(replace(params, field=offset), log_scale=s0)
+        return float(np.linalg.eigvalsh(m.entries)[-1])
 
-    return f, f(0.0), s0
-
-
-def eigen_derivative_two_point(
-    params: ModelParams, cfg: StencilConfig = StencilConfig()
-) -> float:
-    """d lambda_1 / dD at D = 0 by the two-point stencil, on the true scale.
-
-    May overflow for parameters whose true eigenvalue exceeds double range;
-    the investment pipeline avoids this by never leaving the scaled form.
-    """
-    _require_zero_field(params)
-    f, _, s0 = _scaled_eigen_fn(params, cfg)
-    return central_difference(f, cfg.xi) * math.exp(s0)
+    diff = central_difference if cfg.order == "two_point" else richardson_difference
+    return -diff(f, cfg.xi) / (params.beta * f(0.0))
 
 
-def eigen_derivative_four_point(
-    params: ModelParams, cfg: StencilConfig = StencilConfig()
-) -> float:
-    """d lambda_1 / dD at D = 0 by the four-point stencil, on the true scale."""
-    _require_zero_field(params)
-    f, _, s0 = _scaled_eigen_fn(params, cfg)
-    return richardson_difference(f, cfg.xi) * math.exp(s0)
-
-
-def per_capita_investment(
-    params: ModelParams, cfg: StencilConfig = StencilConfig()
-) -> float:
+def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None) -> float:
     """Per-capita investment l(beta) of the infinite ring at zero bias.
 
     beta = 0 is exact: every configuration is equally likely, so the value
     is the plain mean of the levels, (q - 1) / 2 for the default levels.
-    For beta > 0 the bias derivative is formed from scaled eigenvalues under
-    a common log scale, so the scale factor cancels and no intermediate
-    overflows even when the true eigenvalues do.
+    For beta > 0 the value is sum_a d_a v_a^2 over the dominant eigenvector,
+    clamped to [d_0, d_{q-1}] against rounding; an explicit ``cfg`` takes
+    the paper's finite-difference route instead, unclamped.
     """
     _require_zero_field(params)
     if params.beta == 0.0:
         return math.fsum(params.levels) / params.q
-    f, lam0, _ = _scaled_eigen_fn(params, cfg)
-    if cfg.order == "two_point":
-        d = central_difference(f, cfg.xi)
-    else:
-        d = richardson_difference(f, cfg.xi)
-    return -d / (params.beta * lam0)
+    if cfg is not None:
+        return _stencil_investment(params, cfg)
+    _, v = dominant_eigenvalue(params)
+    # Dividing by sum v_a^2 (1 up to rounding) makes ties exact: equal
+    # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
+    weights = v * v
+    lev = params.levels
+    return min(max(float(np.dot(lev, weights) / weights.sum()), lev[0]), lev[-1])
 
 
 def sweep_curve(
     params_base: ModelParams,
     betas,
-    cfg: StencilConfig = StencilConfig(),
+    cfg: StencilConfig | None = None,
 ) -> InvestmentCurve:
     """Evaluate l(beta) over a grid of beta values.
 

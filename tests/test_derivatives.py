@@ -1,10 +1,12 @@
-"""Finite-difference stencils, the investment estimator, and sweeps."""
+"""The exact investment estimator, its finite-difference cross-check, and sweeps."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsinvest import (
     CouplingProfile,
@@ -14,9 +16,7 @@ from pottsinvest import (
     SweepError,
     build_matrix,
     central_difference,
-    dominant_eigenvalue,
-    eigen_derivative_four_point,
-    eigen_derivative_two_point,
+    derivatives,
     investment_q2,
     investment_q3_case1,
     investment_q3_case2,
@@ -40,6 +40,14 @@ def analytic_bias_derivative_q2(beta, j0, j1):
     v = math.exp(-beta * j1)
     theta = (u - v) ** 2 + 4.0
     return -(beta / 2.0) * (v + (2.0 + v * v - u * v) / math.sqrt(theta))
+
+
+def analytic_investment_q2(beta, j0, j1):
+    """-(d lambda_1 / dD) / (beta lambda_1) from the two-level radical."""
+    u = math.exp(-beta * j0)
+    v = math.exp(-beta * j1)
+    lam = 0.5 * ((u + v) + math.sqrt((u - v) ** 2 + 4.0))
+    return -analytic_bias_derivative_q2(beta, j0, j1) / (beta * lam)
 
 
 class TestStencils:
@@ -72,35 +80,26 @@ class TestStencils:
 class TestEigenDerivative:
     def test_two_point_matches_analytic(self):
         p = params_for(2, 1.0, (1.0, -1.0))
-        want = analytic_bias_derivative_q2(1.0, 1.0, -1.0)
-        got = eigen_derivative_two_point(p, StencilConfig(xi=1e-4, order="two_point"))
+        want = analytic_investment_q2(1.0, 1.0, -1.0)
+        got = per_capita_investment(p, StencilConfig(xi=1e-4, order="two_point"))
         assert got == pytest.approx(want, abs=1e-7)
 
     def test_four_point_matches_analytic(self):
         p = params_for(2, 1.0, (1.0, -1.0))
-        want = analytic_bias_derivative_q2(1.0, 1.0, -1.0)
-        got = eigen_derivative_four_point(p, StencilConfig(xi=1e-4))
+        want = analytic_investment_q2(1.0, 1.0, -1.0)
+        got = per_capita_investment(p, StencilConfig(xi=1e-4))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_infinite_temperature_derivative_vanishes(self):
-        # At beta = 0 the matrix is all ones for every bias offset.
+        # At beta = 0 the matrix is all ones for every bias offset, and the
+        # stencil path returns the level mean exactly.
         p = params_for(4, 0.0, (1.0, -2.0, 0.5, 0.0))
-        assert eigen_derivative_four_point(p) == 0.0
+        assert per_capita_investment(p, StencilConfig()) == 1.5
 
     def test_requires_zero_bias(self):
         p = params_for(2, 1.0, (1.0, -1.0), field=0.5)
         with pytest.raises(ValueError, match="zero external bias"):
-            eigen_derivative_two_point(p)
-
-    def test_bookkeeping_scale_shift_cancels(self):
-        # Moving mass between log_scale and the implicit exp(s) factor must
-        # not touch the scaled solve that the investment ratio is built from.
-        m = build_matrix(params_for(3, 1.5, (0.3, -0.9, 0.4)))
-        base = dominant_eigenvalue(m)
-        shifted = dominant_eigenvalue(replace(m, log_scale=m.log_scale + 1000.0))
-        assert shifted.value_scaled == base.value_scaled
-        assert np.array_equal(shifted.vector, base.vector)
-        assert shifted.value_log == pytest.approx(base.value_log + 1000.0, abs=1e-9)
+            per_capita_investment(p, StencilConfig(order="two_point"))
 
     def test_pinned_scale_leaves_investment_ratio_unchanged(self):
         p = params_for(3, 2.0, (0.0, 0.0, 1.0))
@@ -110,7 +109,7 @@ class TestEigenDerivative:
         def ratio_at(scale):
             def f(offset):
                 m = build_matrix(replace(p, field=offset), log_scale=scale)
-                return dominant_eigenvalue(m).value_scaled
+                return float(np.linalg.eigvalsh(m.entries)[-1])
 
             return -richardson_difference(f, cfg.xi) / (p.beta * f(0.0))
 
@@ -182,6 +181,76 @@ class TestPerCapitaInvestment:
         with pytest.raises(ValueError, match="zero external bias"):
             per_capita_investment(p)
 
+    @pytest.mark.parametrize(
+        "q,couplings,closed",
+        [
+            (2, (1.0, -1.0), lambda b: investment_q2(b, 1.0, -1.0)),
+            (2, (1.0, 2.0), lambda b: investment_q2(b, 1.0, 2.0)),
+            (3, (0.0, 0.0, 1.0), lambda b: investment_q3_case1(b, 1.0)),
+            (3, (0.0, 0.0, -1.0), lambda b: investment_q3_case1(b, -1.0)),
+            (3, (0.0, 2.0, 0.0), lambda b: investment_q3_case2(b, 2.0)),
+            (3, (1.0, 0.0, 0.0), lambda b: investment_q3_case3(b, 1.0)),
+            (3, (-1.0, 0.0, 0.0), lambda b: investment_q3_case3(b, -1.0)),
+        ],
+    )
+    def test_exact_path_matches_closed_forms(self, q, couplings, closed):
+        for beta in np.geomspace(0.01, 300.0, 60):
+            got = per_capita_investment(params_for(q, float(beta), couplings))
+            assert got == pytest.approx(closed(float(beta)), abs=1e-14)
+
+    @pytest.mark.parametrize("beta", [40.0, 1000.0])
+    def test_tied_minimum_gives_half(self, beta):
+        # Levels 0 and 1 share the minimum, so they split the weight evenly.
+        assert per_capita_investment(params_for(3, beta, (-1.0, -1.0, 0.0))) == 0.5
+
+    def test_near_tied_minimum(self):
+        # The 1e-9 split gives level 1 a gap of about 9.7 at beta = 20.
+        p = params_for(3, 20.0, (-1.0, -1.0 + 1e-9, 0.0))
+        assert per_capita_investment(p) == pytest.approx(0.010294029868283, abs=1e-12)
+
+    def test_rounding_is_clamped_to_the_level_range(self, monkeypatch):
+        # Weight on the top level alone can round the ratio past d_{q-1}:
+        # 9 w^2 / w^2 evaluates to 9.000000000000002 at w = 0.67925.
+        vector = np.zeros(10)
+        vector[-1] = 0.67925
+        monkeypatch.setattr(derivatives, "dominant_eigenvalue", lambda params: (0.0, vector))
+        assert per_capita_investment(params_for(10, 1.0, range(10))) == 9.0
+
+
+# Integer couplings in [-3, 3] make tied minima common.
+coupling_values = st.integers(-3, 3).map(float)
+integer_couplings = st.lists(coupling_values, min_size=2, max_size=60)
+palindrome_halves = st.lists(coupling_values, min_size=2, max_size=30)
+beta_values = st.floats(0.0, 1e3)
+
+
+class TestExactProperties:
+    """Identities of l(beta) over the regime map, ties included."""
+
+    @given(couplings=integer_couplings, beta=beta_values)
+    @settings(max_examples=300, deadline=None)
+    def test_within_level_bounds(self, couplings, beta):
+        q = len(couplings)
+        l = per_capita_investment(params_for(q, beta, couplings))
+        assert 0.0 <= l <= q - 1
+
+    @given(couplings=integer_couplings, beta=beta_values)
+    @settings(max_examples=300, deadline=None)
+    def test_mirror_identity(self, couplings, beta):
+        # Reversing the couplings mirrors the levels: l(J) + l(reversed J) = q - 1.
+        q = len(couplings)
+        forward = per_capita_investment(params_for(q, beta, couplings))
+        mirrored = per_capita_investment(params_for(q, beta, couplings[::-1]))
+        assert abs(forward + mirrored - (q - 1)) <= 1e-12 * (q - 1)
+
+    @given(half=palindrome_halves, odd=st.booleans(), beta=beta_values)
+    @settings(max_examples=300, deadline=None)
+    def test_palindrome_sits_at_the_middle(self, half, odd, beta):
+        couplings = half + half[-2::-1] if odd else half + half[::-1]
+        q = len(couplings)
+        l = per_capita_investment(params_for(q, beta, couplings))
+        assert abs(l - (q - 1) / 2) <= 1e-12 * q
+
 
 class TestSweepCurve:
     def test_single_zero_point(self):
@@ -235,10 +304,6 @@ class TestStencilConfig:
             StencilConfig(xi=math.inf)
         with pytest.raises(ValueError):
             StencilConfig(order="five_point")
-        with pytest.raises(ValueError):
-            StencilConfig(eigen_tol=0.0)
-        with pytest.raises(ValueError):
-            StencilConfig(eigen_max_iter=0)
 
     def test_defaults(self):
         cfg = StencilConfig()

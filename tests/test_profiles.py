@@ -10,14 +10,11 @@ from pottsinvest import (
     ModelParams,
     ProfileSpec,
     SplitMix64,
-    StencilConfig,
     SweepError,
     classify_limits,
     ensemble_sweep,
     make_profile,
 )
-
-FAST = StencilConfig(xi=1e-4)
 
 # First outputs of the pinned generator for seed 0, frozen from the
 # generator's published reference sequence.
@@ -95,7 +92,7 @@ class TestMakeProfile:
 class TestEnsembleSweep:
     def test_single_seed_mean_is_the_curve(self):
         grid = [0.0, 1.0, 2.0]
-        ens = ensemble_sweep(5, [3], grid, FAST)
+        ens = ensemble_sweep(5, [3], grid)
         assert ens.mean_curve.points == ens.curves[0].points
         assert ens.curves[0].seed == 3
         assert ens.mean_curve.seed is None
@@ -103,16 +100,16 @@ class TestEnsembleSweep:
 
     def test_mean_is_permutation_invariant(self):
         grid = [0.0, 0.5, 1.5]
-        forward = ensemble_sweep(6, [1, 2, 3], grid, FAST)
-        shuffled = ensemble_sweep(6, [3, 1, 2], grid, FAST)
+        forward = ensemble_sweep(6, [1, 2, 3], grid)
+        shuffled = ensemble_sweep(6, [3, 1, 2], grid)
         assert forward.mean_curve.points == shuffled.mean_curve.points
 
     def test_mean_at_zero_is_exact_level_mean(self):
-        ens = ensemble_sweep(15, range(1, 13), [0.0, 1.0], FAST)
+        ens = ensemble_sweep(15, range(1, 13), [0.0, 1.0])
         assert ens.mean_curve.points[0] == (0.0, 7.0)
 
     def test_unique_min_bookkeeping(self):
-        ens = ensemble_sweep(15, range(1, 13), [0.0], FAST)
+        ens = ensemble_sweep(15, range(1, 13), [0.0])
         assert ens.unique_min_flags == (
             True, True, False, True, True, True,
             True, True, True, False, True, True,
@@ -132,18 +129,18 @@ class TestEnsembleSweep:
 
     def test_mean_matches_hand_average(self):
         grid = [0.0, 2.0]
-        ens = ensemble_sweep(7, [4, 5, 6], grid, FAST)
+        ens = ensemble_sweep(7, [4, 5, 6], grid)
         for k in range(len(grid)):
             want = math.fsum(c.points[k][1] for c in ens.curves) / 3
             assert ens.mean_curve.points[k][1] == want
 
     def test_failure_reports_seed_and_beta(self):
         with pytest.raises(SweepError) as info:
-            ensemble_sweep(15, [42], [1.0, 1.7e308], FAST)
+            ensemble_sweep(15, [42], [1.0, 1.7e308])
         assert info.value.seed == 42
         assert info.value.beta == 1.7e308
         assert "seed=42" in str(info.value)
 
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
-            ensemble_sweep(5, [], [0.0, 1.0], FAST)
+            ensemble_sweep(5, [], [0.0, 1.0])

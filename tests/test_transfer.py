@@ -1,4 +1,4 @@
-"""Transfer-matrix construction, scaling policy, and spectral solvers."""
+"""Transfer-matrix construction, scaling policy, the secular solve and log Z."""
 
 import math
 
@@ -15,6 +15,7 @@ from pottsinvest import (
     dominant_eigenvalue,
     log_partition_function,
     partition_function_bruteforce,
+    transfer,
 )
 
 
@@ -95,11 +96,10 @@ class TestBuildMatrix:
 
 class TestDominantEigenvalue:
     def test_all_ones_matrix(self):
-        m = build_matrix(params_for(5, 0.0, range(5)))
-        eig = dominant_eigenvalue(m)
-        assert eig.value_scaled == pytest.approx(5.0, rel=1e-13)
-        assert eig.value_log == pytest.approx(math.log(5.0), abs=1e-13)
-        assert eig.vector == pytest.approx(np.full(5, 1 / math.sqrt(5)), abs=1e-12)
+        value_log, vector = dominant_eigenvalue(params_for(5, 0.0, range(5)))
+        assert math.exp(value_log) == pytest.approx(5.0, rel=1e-13)
+        assert value_log == pytest.approx(math.log(5.0), abs=1e-13)
+        assert vector == pytest.approx(np.full(5, 1 / math.sqrt(5)), abs=1e-12)
 
     @pytest.mark.parametrize(
         "beta,j0,j1", [(0.9, 1.0, -1.0), (2.0, 0.5, 0.5), (3.5, -0.7, 0.2)]
@@ -109,46 +109,61 @@ class TestDominantEigenvalue:
         v = math.exp(-beta * j1)
         theta = 4.0 + u * u + v * v - 2.0 * u * v
         want = 0.5 * ((u + v) + math.sqrt(theta))
-        eig = dominant_eigenvalue(build_matrix(params_for(2, beta, (j0, j1))))
-        assert math.exp(eig.value_log) == pytest.approx(want, rel=1e-12)
+        value_log, _ = dominant_eigenvalue(params_for(2, beta, (j0, j1)))
+        assert math.exp(value_log) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("beta,j", [(0.5, 1.0), (1.5, -1.0), (2.0, 0.3)])
     def test_three_level_radical_top_coupling(self, beta, j):
         x = math.exp(-beta * j)
         want = 0.5 * (2.0 + x + math.sqrt(12.0 - 4.0 * x + x * x))
-        eig = dominant_eigenvalue(build_matrix(params_for(3, beta, (0.0, 0.0, j))))
-        assert math.exp(eig.value_log) == pytest.approx(want, rel=1e-12)
+        value_log, _ = dominant_eigenvalue(params_for(3, beta, (0.0, 0.0, j)))
+        assert math.exp(value_log) == pytest.approx(want, rel=1e-12)
 
     def test_eigenvector_is_positive_unit(self):
-        eig = dominant_eigenvalue(build_matrix(params_for(4, 1.2, (0.5, -0.8, 1.4, -0.1))))
-        assert (eig.vector > 0.0).all()
-        assert float(np.linalg.norm(eig.vector)) == pytest.approx(1.0, abs=1e-14)
+        _, vector = dominant_eigenvalue(params_for(4, 1.2, (0.5, -0.8, 1.4, -0.1)))
+        assert (vector > 0.0).all()
+        assert float(np.linalg.norm(vector)) == pytest.approx(1.0, abs=1e-14)
 
     def test_residual_within_tolerance(self):
-        m = build_matrix(params_for(3, 1.5, (0.4, -0.9, 0.2)))
-        eig = dominant_eigenvalue(m, tol=1e-13)
-        resid = float(np.max(np.abs(m.entries @ eig.vector - eig.value_scaled * eig.vector)))
-        assert resid <= 1e-13 * max(1.0, eig.value_scaled)
+        p = params_for(3, 1.5, (0.4, -0.9, 0.2))
+        m = build_matrix(p)
+        value_log, vector = dominant_eigenvalue(p)
+        scaled = math.exp(value_log - m.log_scale)
+        resid = float(np.max(np.abs(m.entries @ vector - scaled * vector)))
+        assert resid <= 1e-13 * max(1.0, scaled)
 
     def test_huge_exponents_stay_finite(self):
-        # Raw entries would reach exp(2000); the scaled solve never sees them.
+        # Raw entries would reach exp(2000); the secular solve never forms them.
         j = tuple(-float(k + 1) for k in range(10))
-        eig = dominant_eigenvalue(build_matrix(params_for(10, 200.0, j)))
-        assert math.isfinite(eig.value_log)
-        assert eig.value_log == pytest.approx(2000.0, rel=1e-12)
+        value_log, _ = dominant_eigenvalue(params_for(10, 200.0, j))
+        assert math.isfinite(value_log)
+        assert value_log == pytest.approx(2000.0, rel=1e-12)
 
-    def test_exhausted_budget_raises(self):
-        m = build_matrix(params_for(2, 1.0, (1.0, -1.0)))
-        with pytest.raises(ConvergenceError) as info:
-            dominant_eigenvalue(m, tol=1e-13, max_iter=1)
-        assert info.value.residual is not None
+    @given(
+        q=st.integers(2, 40),
+        beta=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_eigensolver(self, q, beta, seed):
+        j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
+        p = params_for(q, beta, j)
+        m = build_matrix(p)
+        values, vectors = np.linalg.eigh(m.entries)
+        value_log, vector = dominant_eigenvalue(p)
+        assert value_log == pytest.approx(math.log(values[-1]) + m.log_scale, abs=1e-13 * q)
+        assert vector == pytest.approx(np.abs(vectors[:, -1]), abs=1e-12)
 
-    def test_rejects_bad_budgets(self):
-        m = build_matrix(params_for(2, 1.0, (1.0, -1.0)))
-        with pytest.raises(ValueError):
-            dominant_eigenvalue(m, tol=0.0)
-        with pytest.raises(ValueError):
-            dominant_eigenvalue(m, max_iter=0)
+    def test_requires_zero_bias(self):
+        with pytest.raises(ValueError, match="zero external bias"):
+            dominant_eigenvalue(params_for(2, 1.0, (1.0, -1.0), field=0.1))
+
+    def test_newton_cap_raises(self, monkeypatch):
+        # From mu = 1 the root near 1.37 takes more than two Newton steps.
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 2)
+        with pytest.raises(ConvergenceError, match="2 Newton steps") as info:
+            dominant_eigenvalue(params_for(2, 1.0, (1.0, -1.0)))
+        assert info.value.residual > 0.0
 
 
 class TestLogPartitionFunction:
@@ -179,11 +194,11 @@ class TestLogPartitionFunction:
     def test_dominant_bounds_the_mean_power(self):
         # lambda_1^N >= Z_N / q for even N, i.e. the dominant eigenvalue is
         # at least the power mean of the spectrum.
-        p = params_for(3, 1.9, (0.4, -1.1, 0.6), field=0.25)
+        p = params_for(3, 1.9, (0.4, -1.1, 0.6))
         n = 4
-        eig = dominant_eigenvalue(build_matrix(p))
+        value_log, _ = dominant_eigenvalue(p)
         log_z = log_partition_function(p, n)
-        assert eig.value_log >= (log_z - math.log(3)) / n - 1e-12
+        assert value_log >= (log_z - math.log(3)) / n - 1e-12
 
     def test_rejects_bad_site_counts(self):
         p = params_for(2, 1.0, (0.0, 0.0))
