@@ -149,11 +149,7 @@ def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None)
     return min(max(float(np.dot(lev, weights) / weights.sum()), lev[0]), lev[-1])
 
 
-def sweep_curve(
-    params_base: ModelParams,
-    betas,
-    cfg: StencilConfig | None = None,
-) -> InvestmentCurve:
+def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
     """Evaluate l(beta) over a grid of beta values.
 
     The grid must be non-negative and strictly increasing.  Any point
@@ -169,7 +165,7 @@ def sweep_curve(
     points = []
     for b in grid:
         try:
-            val = per_capita_investment(replace(params_base, beta=b), cfg)
+            val = per_capita_investment(replace(params_base, beta=b))
         except Exception as exc:
             raise SweepError(b, exc) from exc
         points.append((b, val))

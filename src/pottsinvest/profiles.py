@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .derivatives import InvestmentCurve, StencilConfig, SweepError, sweep_curve
+from .derivatives import InvestmentCurve, SweepError, sweep_curve
 from .model import CouplingProfile, ModelParams
 
 __all__ = [
@@ -112,12 +112,7 @@ class SeedEnsemble:
     unique_min_flags: tuple[bool, ...]
 
 
-def ensemble_sweep(
-    q: int,
-    seeds: Sequence[int],
-    betas,
-    cfg: StencilConfig | None = None,
-) -> SeedEnsemble:
+def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     """Sweep one random-profile curve per seed and average them pointwise.
 
     The mean uses exact (fsum) accumulation, so it is invariant under
@@ -133,7 +128,7 @@ def ensemble_sweep(
         profile = make_profile(ProfileSpec(kind="random", q=q, seed=seed))
         params = ModelParams(q=q, beta=0.0, couplings=profile)
         try:
-            curve = sweep_curve(params, betas, cfg)
+            curve = sweep_curve(params, betas)
         except SweepError as exc:
             raise SweepError(exc.beta, exc.__cause__ or exc, seed=seed) from exc
         curves.append(replace(curve, seed=seed))

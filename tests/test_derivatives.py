@@ -42,12 +42,16 @@ def analytic_bias_derivative_q2(beta, j0, j1):
     return -(beta / 2.0) * (v + (2.0 + v * v - u * v) / math.sqrt(theta))
 
 
-def analytic_investment_q2(beta, j0, j1):
-    """-(d lambda_1 / dD) / (beta lambda_1) from the two-level radical."""
+def lambda_q2(beta, j0, j1):
+    """Dominant eigenvalue of the two-level transfer matrix at zero bias."""
     u = math.exp(-beta * j0)
     v = math.exp(-beta * j1)
-    lam = 0.5 * ((u + v) + math.sqrt((u - v) ** 2 + 4.0))
-    return -analytic_bias_derivative_q2(beta, j0, j1) / (beta * lam)
+    return 0.5 * ((u + v) + math.sqrt((u - v) ** 2 + 4.0))
+
+
+def analytic_investment_q2(beta, j0, j1):
+    """-(d lambda_1 / dD) / (beta lambda_1) from the two-level radical."""
+    return -analytic_bias_derivative_q2(beta, j0, j1) / (beta * lambda_q2(beta, j0, j1))
 
 
 class TestStencils:
@@ -78,23 +82,30 @@ class TestStencils:
 
 
 class TestEigenDerivative:
+    # l = -(d lambda_1 / dD) / (beta lambda_1), so a tolerance on the
+    # derivative divides by beta lambda_1 (about 3.09 here) to become one on l.
     def test_two_point_matches_analytic(self):
         p = params_for(2, 1.0, (1.0, -1.0))
         want = analytic_investment_q2(1.0, 1.0, -1.0)
         got = per_capita_investment(p, StencilConfig(xi=1e-4, order="two_point"))
-        assert got == pytest.approx(want, abs=1e-7)
+        assert got == pytest.approx(want, abs=1e-7 / (p.beta * lambda_q2(1.0, 1.0, -1.0)))
 
     def test_four_point_matches_analytic(self):
         p = params_for(2, 1.0, (1.0, -1.0))
         want = analytic_investment_q2(1.0, 1.0, -1.0)
         got = per_capita_investment(p, StencilConfig(xi=1e-4))
-        assert got == pytest.approx(want, abs=1e-10)
+        assert got == pytest.approx(want, abs=1e-10 / (p.beta * lambda_q2(1.0, 1.0, -1.0)))
 
     def test_infinite_temperature_derivative_vanishes(self):
-        # At beta = 0 the matrix is all ones for every bias offset, and the
-        # stencil path returns the level mean exactly.
+        # At beta = 0 the matrix is all ones for every bias offset, so the
+        # stencil's difference of lambda_1 is exactly zero.
         p = params_for(4, 0.0, (1.0, -2.0, 0.5, 0.0))
-        assert per_capita_investment(p, StencilConfig()) == 1.5
+
+        def f(offset):
+            m = build_matrix(replace(p, field=offset), log_scale=0.0)
+            return float(np.linalg.eigvalsh(m.entries)[-1])
+
+        assert richardson_difference(f, StencilConfig().xi) == 0.0
 
     def test_requires_zero_bias(self):
         p = params_for(2, 1.0, (1.0, -1.0), field=0.5)

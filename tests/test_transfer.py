@@ -152,7 +152,10 @@ class TestDominantEigenvalue:
         values, vectors = np.linalg.eigh(m.entries)
         value_log, vector = dominant_eigenvalue(p)
         assert value_log == pytest.approx(math.log(values[-1]) + m.log_scale, abs=1e-13 * q)
-        assert vector == pytest.approx(np.abs(vectors[:, -1]), abs=1e-12)
+        # eigh's own eigenvector error grows like eps / (relative gap), so a
+        # near tie at the coupling minimum loosens what the reference can show.
+        rel_gap = (values[-1] - values[-2]) / values[-1]
+        assert vector == pytest.approx(np.abs(vectors[:, -1]), abs=max(1e-12, 1e-14 / rel_gap))
 
     def test_requires_zero_bias(self):
         with pytest.raises(ValueError, match="zero external bias"):
