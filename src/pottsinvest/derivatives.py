@@ -149,12 +149,8 @@ def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None)
     return min(max(float(np.dot(lev, weights) / weights.sum()), lev[0]), lev[-1])
 
 
-def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
-    """Evaluate l(beta) over a grid of beta values.
-
-    The grid must be non-negative and strictly increasing.  Any point
-    failure aborts the sweep with a :class:`SweepError` naming the beta.
-    """
+def _checked_grid(betas) -> list[float]:
+    """The beta grid as floats; it must be non-empty, finite, non-negative and increasing."""
     grid = [float(b) for b in betas]
     if not grid:
         raise ValueError("beta grid must contain at least one point")
@@ -162,6 +158,16 @@ def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
         raise ValueError("beta grid values must be finite and non-negative")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
+    return grid
+
+
+def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
+    """Evaluate l(beta) over a grid of beta values.
+
+    The grid must be non-negative and strictly increasing.  Any point
+    failure aborts the sweep with a :class:`SweepError` naming the beta.
+    """
+    grid = _checked_grid(betas)
     points = []
     for b in grid:
         try:

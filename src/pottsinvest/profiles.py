@@ -18,16 +18,24 @@ transition per draw is:
     output = z ^ (z >> 31)
 
 and uniform() maps the top 53 bits to [0, 1) as (output >> 11) / 2**53.
+
+An ensemble sweep stacks every (seed, beta) point into rows of exponents
+-beta J and solves them together with :func:`.transfer.investment_rows`, a
+bounded block of rows at a time.  Rows never mix in a reduction, so each
+seed's curve is bitwise the one it would have if swept alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .derivatives import InvestmentCurve, SweepError, sweep_curve
+import numpy as np
+
+from .derivatives import InvestmentCurve, SweepError, _checked_grid
 from .model import CouplingProfile, ModelParams
+from .transfer import ConvergenceError, investment_rows
 
 __all__ = [
     "SplitMix64",
@@ -36,6 +44,10 @@ __all__ = [
     "make_profile",
     "ensemble_sweep",
 ]
+
+# Exponent floats per block of the batched ensemble solve; keeps its working
+# memory bounded for any number of seeds and betas.
+_BLOCK = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -115,35 +127,61 @@ class SeedEnsemble:
 def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     """Sweep one random-profile curve per seed and average them pointwise.
 
-    The mean uses exact (fsum) accumulation, so it is invariant under
-    permutations of the seed list.  Sweep failures propagate as
-    :class:`SweepError` with the offending seed attached.
+    Every (seed, beta > 0) lane is solved by :func:`.transfer.investment_rows`
+    in blocks; beta = 0 lanes take the exact level mean.  A seed's curve is
+    bitwise the same whether it is swept alone or with other seeds.  The
+    mean uses exact (fsum) accumulation, so it is invariant under
+    permutations of the seed list.  The first failing lane, seed by seed and
+    beta by beta, raises :class:`SweepError` naming its beta and seed.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    curves = []
-    flags = []
-    for seed in seeds:
-        profile = make_profile(ProfileSpec(kind="random", q=q, seed=seed))
-        params = ModelParams(q=q, beta=0.0, couplings=profile)
-        try:
-            curve = sweep_curve(params, betas)
-        except SweepError as exc:
-            raise SweepError(exc.beta, exc.__cause__ or exc, seed=seed) from exc
-        curves.append(replace(curve, seed=seed))
-        flags.append(profile.unique_min_index() is not None)
-    grid = [pt[0] for pt in curves[0].points]
+    params = tuple(
+        ModelParams(q=q, beta=0.0, couplings=make_profile(ProfileSpec("random", q, seed)))
+        for seed in seeds
+    )
+    grid = _checked_grid(betas)
+    values = _sweep_lanes(seeds, params, grid).tolist()
+    curves = tuple(
+        InvestmentCurve(
+            points=tuple(zip(grid, row)), method="numeric", params_snapshot=p, seed=seed
+        )
+        for seed, p, row in zip(seeds, params, values)
+    )
     mean_points = tuple(
-        (b, math.fsum(c.points[k][1] for c in curves) / len(curves))
-        for k, b in enumerate(grid)
+        (b, math.fsum(column) / len(seeds)) for b, column in zip(grid, zip(*values))
     )
     mean_curve = InvestmentCurve(
         points=mean_points, method="numeric", params_snapshot=None, seed=None
     )
     return SeedEnsemble(
         seeds=seeds,
-        curves=tuple(curves),
+        curves=curves,
         mean_curve=mean_curve,
-        unique_min_flags=tuple(flags),
+        unique_min_flags=tuple(p.couplings.unique_min_index() is not None for p in params),
     )
+
+
+def _sweep_lanes(seeds, params, grid) -> np.ndarray:
+    """l for every (seed, beta) lane as an (n_seeds, n_beta) array."""
+    levels = params[0].levels
+    q = len(levels)
+    couplings = np.array([p.couplings.values for p in params])
+    # The grid is increasing and non-negative, so only its first point can be 0.
+    skip = 1 if grid[0] == 0.0 else 0
+    out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
+    neg_beta = -np.asarray(grid[skip:])
+    n_hot = len(neg_beta)
+    n_lanes = len(seeds) * n_hot
+    rows = max(1, _BLOCK // q)
+    for start in range(0, n_lanes, rows):
+        seed_of, beta_of = np.divmod(np.arange(start, min(start + rows, n_lanes)), n_hot)
+        with np.errstate(over="ignore"):
+            x = neg_beta[beta_of][:, None] * couplings[seed_of]
+        try:
+            out[seed_of, beta_of + skip] = investment_rows(x, levels)
+        except (ValueError, ConvergenceError) as exc:
+            lane = exc.row
+            raise SweepError(grid[beta_of[lane] + skip], exc, seed=seeds[seed_of[lane]]) from exc
+    return out

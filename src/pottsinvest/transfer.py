@@ -14,8 +14,10 @@ spectral quantity is reported either rescaled or in log space.
 At zero bias M = diag(c) + 1 1^T with c_a = exp(-beta J(a)) - 1, a rank-one
 update of a diagonal matrix, so its dominant eigenpair is the largest root
 of a scalar secular equation (Golub, SIAM Rev. 15, 1973) and never needs
-the matrix itself.  The full spectrum for log Z_N comes from LAPACK's
-symmetric eigensolver (``numpy.linalg.eigvalsh``) on the rescaled matrix.
+the matrix itself; :func:`investment_rows` runs the same solve on many
+coupling vectors at once, one per row.  The full spectrum for log Z_N comes
+from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the
+rescaled matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "TransferMatrix",
     "build_matrix",
     "dominant_eigenvalue",
+    "investment_rows",
     "log_partition_function",
 ]
 
@@ -78,9 +81,31 @@ def build_matrix(params: ModelParams, log_scale: float | None = None) -> Transfe
     return TransferMatrix(entries=np.exp(x - s), log_scale=s)
 
 
+_OVERFLOW = "transfer-matrix exponents overflow; reduce beta*J or beta*D"
+
+
 def _require_finite(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
-        raise ValueError("transfer-matrix exponents overflow; reduce beta*J or beta*D")
+        raise ValueError(_OVERFLOW)
+
+
+def _secular_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maxima, gaps Delta and Newton starts along the last axis of finite exponents x.
+
+    Delta_a = exp(x_max + log(1 - exp(x_a - x_max))) is exactly 0 on levels
+    tied at the maximum, where the logarithm is -inf, and inf where it
+    overflows; the start is the number of zero gaps.
+    """
+    x_max = x.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", divide="ignore"):
+        delta = np.exp(x_max + np.log(-np.expm1(x - x_max)))
+    return x_max[..., 0], delta, (delta == 0.0).sum(axis=-1, dtype=float)
+
+
+def _unsettled(residual: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"secular equation did not converge in {_NEWTON_CAP} Newton steps", residual=residual
+    )
 
 
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
@@ -102,12 +127,9 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
         raise ValueError("the dominant solve is taken at zero external bias (field = 0)")
     with np.errstate(over="ignore"):
         x = -params.beta * np.asarray(params.couplings.values)
-        _require_finite(x)
-        x_max = float(x.max())
-        delta = np.zeros_like(x)
-        below = x < x_max
-        delta[below] = np.exp(x_max + np.log(-np.expm1(x[below] - x_max)))
-    mu = float(np.count_nonzero(delta == 0.0))
+    _require_finite(x)
+    x_max, delta, mu = _secular_start(x)
+    x_max, mu = float(x_max), float(mu)
     for _ in range(_NEWTON_CAP):
         w = 1.0 / (mu + delta)
         step = (float(w.sum()) - 1.0) / float(w @ w)
@@ -115,13 +137,48 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
         if step <= _NEWTON_RTOL * mu:
             break
     else:
-        raise ConvergenceError(
-            f"secular equation did not converge in {_NEWTON_CAP} Newton steps",
-            residual=step,
-        )
+        raise _unsettled(step)
     w = 1.0 / (mu + delta)
     log_value = float(np.logaddexp(x_max, math.log(mu - 1.0))) if mu > 1.0 else x_max
     return log_value, w / float(np.linalg.norm(w))
+
+
+def investment_rows(x: np.ndarray, levels) -> np.ndarray:
+    """Per-capita investment l for every row of exponents x (n, q), x_a = -beta J(a).
+
+    Each row is solved as :func:`dominant_eigenvalue` solves one coupling
+    vector: the same gaps, start, Newton steps and cap.  A row is frozen once
+    its step has settled, so it takes exactly the steps it would take alone.
+    Then l = sum_a d_a w_a^2 / sum_a w_a^2 with w_a = 1 / (mu + Delta_a),
+    clamped to [d_0, d_{q-1}].  Every reduction is an elementwise product
+    summed along the row, never a matrix product, whose blocking would make
+    a row's bits depend on the rows around it.
+
+    A row with a non-finite exponent raises ValueError, and a row still
+    moving after the step cap raises :class:`ConvergenceError`; the
+    exception's ``row`` attribute is the lowest such row.
+    """
+    lev = np.asarray(levels, dtype=float)
+    finite = np.isfinite(x).all(axis=1)
+    _, delta, mu = _secular_start(x[finite])
+    active = np.arange(len(mu))
+    for _ in range(_NEWTON_CAP):
+        if not active.size:
+            break
+        w = 1.0 / (mu[active][:, None] + delta[active])
+        step = (w.sum(axis=1) - 1.0) / (w * w).sum(axis=1)
+        mu[active] += step
+        moving = ~(step <= _NEWTON_RTOL * mu[active])
+        active, step = active[moving], step[moving]
+    failed = np.union1d(np.flatnonzero(~finite), np.flatnonzero(finite)[active])
+    if failed.size:
+        row = int(failed[0])
+        exc = _unsettled(float(step[0])) if finite[row] else ValueError(_OVERFLOW)
+        exc.row = row
+        raise exc
+    w = 1.0 / (mu[:, None] + delta)
+    wt = w * w
+    return np.minimum(np.maximum((wt * lev).sum(axis=1) / wt.sum(axis=1), lev[0]), lev[-1])
 
 
 def log_partition_function(params: ModelParams, n_sites: int) -> float:

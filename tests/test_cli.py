@@ -316,6 +316,13 @@ class TestExitCodes:
         assert code == 3
         assert "beta=2.0" in capsys.readouterr().err
 
+    def test_ensemble_failure_names_seed(self, capsys):
+        code = run_cli("--q", "15", "--profile", "random", "--seeds", "7,42",
+                       "--beta-max", "1.7e308", "--beta-count", "2")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "seed=7" in err and "beta=1.7e+308" in err
+
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "2",

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsinvest import (
+    ConvergenceError,
     CouplingProfile,
     ModelParams,
     ProfileSpec,
@@ -14,6 +17,10 @@ from pottsinvest import (
     classify_limits,
     ensemble_sweep,
     make_profile,
+    per_capita_investment,
+    profiles,
+    sweep_curve,
+    transfer,
 )
 
 # First outputs of the pinned generator for seed 0, frozen from the
@@ -141,6 +148,73 @@ class TestEnsembleSweep:
         assert info.value.beta == 1.7e308
         assert "seed=42" in str(info.value)
 
+    def test_multi_seed_failure_names_the_first_seed(self):
+        with pytest.raises(SweepError) as info:
+            ensemble_sweep(15, [7, 42], [1.0, 1.7e308])
+        assert info.value.seed == 7
+        assert info.value.beta == 1.7e308
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_unconverged_lane_maps_back_to_the_earliest_seed_and_beta(self, monkeypatch):
+        seeds, grid = [5, 8, 2], [0.0, 0.3, 2.0, 50.0]
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 1)
+        # The lane the per-point loop fails on first, seed by seed, beta by beta.
+        first = None
+        for seed in seeds:
+            profile = make_profile(ProfileSpec("random", 9, seed=seed))
+            for b in grid:
+                try:
+                    per_capita_investment(ModelParams(q=9, beta=b, couplings=profile))
+                except ConvergenceError:
+                    first = first or (seed, b)
+        assert first is not None
+        with pytest.raises(SweepError) as info:
+            ensemble_sweep(9, seeds, grid)
+        assert (info.value.seed, info.value.beta) == first
+        assert isinstance(info.value.__cause__, ConvergenceError)
+
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
             ensemble_sweep(5, [], [0.0, 1.0])
+
+
+# Increasing grids that start at 0 and end at 1e3.
+beta_grids = st.lists(
+    st.floats(min_value=1e-3, max_value=999.0, allow_nan=False), max_size=12, unique=True
+).map(lambda inner: [0.0] + sorted(inner) + [1e3])
+
+
+class TestBatchedEnsemble:
+    """ensemble_sweep solves all (seed, beta) lanes together; each curve must not notice."""
+
+    @given(
+        q=st.integers(2, 60),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8, unique=True),
+        grid=beta_grids,
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_curves_are_batch_invariant(self, q, seeds, grid, data):
+        together = ensemble_sweep(q, seeds, grid)
+        by_seed = dict(zip(together.seeds, together.curves))
+        for seed in seeds:
+            assert ensemble_sweep(q, [seed], grid).curves[0].points == by_seed[seed].points
+        shuffled = data.draw(st.permutations(seeds))
+        for seed, curve in zip(shuffled, ensemble_sweep(q, shuffled, grid).curves):
+            assert curve.points == by_seed[seed].points
+        block = data.draw(st.integers(1, 4 * q))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(profiles, "_BLOCK", block)
+            assert ensemble_sweep(q, seeds, grid).curves == together.curves
+
+    @pytest.mark.parametrize("q, seeds", [(15, range(1, 13)), (200, (1, 2, 3))])
+    def test_matches_the_per_point_sweep(self, q, seeds):
+        # A linear stretch near 0 plus a log grid out to 1e3.
+        log_part = np.geomspace(1e-3, 1e3, 81).tolist()
+        grid = sorted({0.0, *(1e-2 * k for k in range(1, 11)), *log_part})
+        ens = ensemble_sweep(q, seeds, grid)
+        for curve in ens.curves:
+            want = sweep_curve(curve.params_snapshot, grid)
+            for (b, got), (b_ref, ref) in zip(curve.points, want.points):
+                assert b == b_ref
+                assert abs(got - ref) <= 1e-14 * (q - 1)

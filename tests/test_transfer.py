@@ -169,6 +169,27 @@ class TestDominantEigenvalue:
         assert info.value.residual > 0.0
 
 
+class TestInvestmentRows:
+    def test_tied_minima_stay_exact(self):
+        j = np.array([-1.0, -1.0, 0.0])
+        x = -np.array([[40.0], [1000.0]]) * j
+        assert transfer.investment_rows(x, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
+
+    def test_failure_names_the_lowest_failing_row(self, monkeypatch):
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 1)
+        settled = [0.0, 0.0]  # all levels tied: the first step is exactly 0
+        unsettled = [-1.0, 1.0]  # the q = 2 root near 1.37 takes several steps
+        overflow = [math.inf, 0.0]
+        levels = (0.0, 1.0)
+        with pytest.raises(ConvergenceError) as info:
+            transfer.investment_rows(np.array([settled, unsettled, overflow]), levels)
+        assert info.value.row == 1
+        assert info.value.residual > 0.0
+        with pytest.raises(ValueError, match="overflow") as info:
+            transfer.investment_rows(np.array([settled, overflow, unsettled]), levels)
+        assert info.value.row == 1
+
+
 class TestLogPartitionFunction:
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (7, 11)])
     def test_infinite_temperature(self, q, n):
