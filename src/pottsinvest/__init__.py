@@ -15,6 +15,7 @@ from .closedform import (
     Q3_CASE1_POSITIVE_J_LIMIT,
     Q3_CASE3_POSITIVE_J_LIMIT,
     classify_limits,
+    investment_at_beta_infinity,
     investment_q2,
     investment_q3_case1,
     investment_q3_case2,
@@ -75,6 +76,7 @@ __all__ = [
     "ensemble_sweep",
     "expected_investment_bruteforce",
     "hamiltonian",
+    "investment_at_beta_infinity",
     "investment_q2",
     "investment_q3_case1",
     "investment_q3_case2",

@@ -294,21 +294,16 @@ def _make_params(cfg: RunConfig, couplings: CouplingProfile) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _limit_lines(params: ModelParams, seed: int | None = None) -> list[str]:
     info = classify_limits(params)
     tag = "" if seed is None else f"seed {seed}: "
     lines = []
     if seed is None:
-        lines.append(f"# {tag}investment_at_beta_zero = {_fmt(info.beta_zero)}")
+        lines.append(f"# {tag}investment_at_beta_zero = {info.beta_zero!r}")
     if info.unique_min:
-        level = params.levels.index(info.beta_infinity)
         lines.append(
-            f"# {tag}investment_at_beta_infinity = {_fmt(info.beta_infinity)} "
-            f"(unique coupling minimum at level {level})"
+            f"# {tag}investment_at_beta_infinity = {info.beta_infinity!r} "
+            f"(unique coupling minimum at level {params.couplings.unique_min_index()})"
         )
     else:
         lines.append(
@@ -326,10 +321,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _curve_rows(curve: InvestmentCurve, seed_label: str | None) -> list[str]:
-    if seed_label is None:
-        return [f"{_fmt(b)},{_fmt(val)}" for b, val in curve.points]
-    return [f"{_fmt(b)},{_fmt(val)},{seed_label}" for b, val in curve.points]
+def _curve_rows(curve: InvestmentCurve, betas: list[str], suffix: str = "") -> list[str]:
+    """CSV rows of a curve, with its beta column already formatted by repr."""
+    return [f"{b},{val!r}{suffix}" for b, (_, val) in zip(betas, curve.points)]
 
 
 def _run_single(cfg: RunConfig) -> int:
@@ -337,7 +331,7 @@ def _run_single(cfg: RunConfig) -> int:
     params = _make_params(cfg, couplings)
     curve = sweep_curve(params, _beta_grid(cfg))
     lines = ["beta,l"]
-    lines.extend(_curve_rows(curve, None))
+    lines.extend(_curve_rows(curve, [repr(b) for b, _ in curve.points]))
     if cfg.emit_limits:
         lines.extend(_limit_lines(params))
     _write_text(cfg.out, "\n".join(lines) + "\n")
@@ -345,14 +339,16 @@ def _run_single(cfg: RunConfig) -> int:
 
 
 def _run_ensemble(cfg: RunConfig) -> int:
-    ensemble = ensemble_sweep(cfg.q, cfg.seeds, _beta_grid(cfg))
+    grid = _beta_grid(cfg)
+    ensemble = ensemble_sweep(cfg.q, cfg.seeds, grid)
+    betas = [repr(b) for b in grid]
     lines = ["beta,l,seed"]
     for seed, curve in zip(ensemble.seeds, ensemble.curves):
-        lines.extend(_curve_rows(curve, str(seed)))
-    lines.extend(_curve_rows(ensemble.mean_curve, "mean"))
+        lines.extend(_curve_rows(curve, betas, f",{seed}"))
+    lines.extend(_curve_rows(ensemble.mean_curve, betas, ",mean"))
     if cfg.emit_limits:
         first = ensemble.curves[0].params_snapshot
-        lines.append(f"# investment_at_beta_zero = {_fmt(sum(first.levels) / cfg.q)}")
+        lines.append(f"# investment_at_beta_zero = {sum(first.levels) / cfg.q!r}")
         for seed, curve in zip(ensemble.seeds, ensemble.curves):
             lines.extend(_limit_lines(curve.params_snapshot, seed=seed))
     _write_text(cfg.out, "\n".join(lines) + "\n")
@@ -390,11 +386,11 @@ def _run_compare(cfg: RunConfig) -> int:
         exact = closed(b)
         err = abs(numeric - exact)
         max_err = max(max_err, err)
-        lines.append(f"{_fmt(b)},{_fmt(numeric)},{_fmt(exact)},{_fmt(err)}")
-    lines.append(f"# max_abs_error = {_fmt(max_err)}")
+        lines.append(f"{b!r},{numeric!r},{exact!r},{err!r}")
+    lines.append(f"# max_abs_error = {max_err!r}")
     _write_text(cfg.out, "\n".join(lines) + "\n")
     if cfg.out != "-":
-        print(f"max_abs_error = {_fmt(max_err)}")
+        print(f"max_abs_error = {max_err!r}")
     return 0
 
 

@@ -10,7 +10,9 @@ exp(-beta * |J|) factors only, which keeps every intermediate bounded and
 the result finite for beta * |J| up to around 700 regardless of sign.
 
 The large-beta endpoints of the two non-trivial q = 3 curves are exposed as
-exact constants rather than numerical limits.
+exact constants rather than numerical limits, and
+:func:`investment_at_beta_infinity` gives the large-beta endpoint of any
+coupling vector.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "investment_q3_case1",
     "investment_q3_case2",
     "investment_q3_case3",
+    "investment_at_beta_infinity",
     "classify_limits",
 ]
 
@@ -150,15 +153,45 @@ def investment_q3_case3(beta: float, j: float) -> float:
     return min(2.0, max(0.0, _q3_kernel(beta, j, direct, reciprocal)))
 
 
+def investment_at_beta_infinity(params: ModelParams) -> float:
+    """Exact limit of l(beta) as beta -> infinity, for any coupling vector.
+
+    As beta grows every secular gap Delta_a of :mod:`.transfer` tends to 0,
+    1 or infinity, so the limit depends only on the sign of J_min = min J:
+
+    - J_min < 0: the mean level over the levels T attaining J_min (mu -> |T|);
+    - J_min > 0: every gap closes, leaving the plain level mean;
+    - J_min = 0: with z zero-coupling levels Z and the rest R, mu is the
+      positive root of z / mu + (q - z) / (mu + 1) = 1, and the dominant
+      eigenvector weighs Z by (mu + 1)^2 against mu^2 on R.
+
+    Each weight multiplies a correctly rounded (fsum) level sum, so a
+    symmetric case such as couplings (3, 1, 0, 2, 4) gives exactly 2.0.
+    """
+    j = params.couplings.values
+    lev = params.levels
+    lowest = min(j)
+    if lowest > 0.0:
+        return math.fsum(lev) / params.q
+    tied = [d for d, v in zip(lev, j) if v == lowest]
+    if lowest < 0.0:
+        return math.fsum(tied) / len(tied)
+    z, q = len(tied), params.q
+    mu = 0.5 * ((q - 1) + math.sqrt((q - 1) ** 2 + 4 * z))
+    on_zero, off_zero = (mu + 1.0) ** 2, mu * mu
+    rest = math.fsum(d for d, v in zip(lev, j) if v != lowest)
+    num = math.fsum((on_zero * math.fsum(tied), off_zero * rest))
+    return num / math.fsum((z * on_zero, (q - z) * off_zero))
+
+
 @dataclass(frozen=True)
 class LimitClassification:
     """Endpoint summary of an investment curve.
 
     ``beta_zero`` is the exact beta = 0 value, the plain mean of the levels.
-    ``beta_infinity`` is the level value at the strictly smallest coupling
-    when that minimum is unique (the regime where the ensemble freezes onto
-    uniform agreement at the cheapest level), else None.  ``unique_min``
-    records whether the coupling minimum is attained exactly once.
+    ``beta_infinity`` is :func:`investment_at_beta_infinity` when the
+    coupling minimum is unique, else None.  ``unique_min`` records whether
+    the coupling minimum is attained exactly once.
     """
 
     beta_zero: float
@@ -169,9 +202,10 @@ class LimitClassification:
 def classify_limits(params: ModelParams) -> LimitClassification:
     """Classify the beta = 0 and beta -> infinity endpoints for the given model."""
     beta_zero = math.fsum(params.levels) / params.q
-    idx = params.couplings.unique_min_index()
-    if idx is None:
+    if params.couplings.unique_min_index() is None:
         return LimitClassification(beta_zero=beta_zero, beta_infinity=None, unique_min=False)
     return LimitClassification(
-        beta_zero=beta_zero, beta_infinity=params.levels[idx], unique_min=True
+        beta_zero=beta_zero,
+        beta_infinity=investment_at_beta_infinity(params),
+        unique_min=True,
     )

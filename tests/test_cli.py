@@ -3,8 +3,10 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pottsinvest import ensemble_sweep
 from pottsinvest.cli import main
 
 
@@ -119,6 +121,18 @@ class TestEmitLimits:
             for c in comments
         )
 
+    def test_nonnegative_minimum_footer(self, tmp_path):
+        # A penalised minimum still settles away from its level: the exact
+        # beta -> infinity value here is the level mean.
+        out = tmp_path / "curve.csv"
+        assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "2",
+                       "--emit-limits", "--out", str(out)) == 0
+        _, _, comments = read_rows(out)
+        assert (
+            "# investment_at_beta_infinity = 0.5 (unique coupling minimum at level 0)"
+            in comments
+        )
+
     def test_tied_minimum_footer(self, tmp_path):
         out = tmp_path / "curve.csv"
         run_cli("--q", "2", "--couplings", "0,0", "--beta-count", "2",
@@ -151,6 +165,18 @@ class TestEnsembleRuns:
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_readme_ensemble_rows_are_the_repr_of_the_sweep(self, tmp_path):
+        out = tmp_path / "ens.csv"
+        seeds = range(1, 13)
+        assert run_cli("--q", "15", "--profile", "random",
+                       "--seeds", ",".join(map(str, seeds)), "--out", str(out)) == 0
+        _, rows, _ = read_rows(out)
+        ens = ensemble_sweep(15, seeds, np.linspace(0.0, 10.0, 200).tolist())
+        series = [*zip(ens.seeds, ens.curves), ("mean", ens.mean_curve)]
+        assert {type(v) for _, c in series for point in c.points for v in point} == {float}
+        want = [f"{beta!r},{l!r},{seed}" for seed, c in series for beta, l in c.points]
+        assert rows == want
+
     def test_mean_series_at_zero(self, tmp_path):
         out = tmp_path / "ens.csv"
         run_cli("--q", "15", "--profile", "random", "--seeds", "1,2,3,4",
@@ -165,7 +191,10 @@ class TestEnsembleRuns:
                 "--beta-count", "2", "--beta-max", "1.0",
                 "--emit-limits", "--out", str(out))
         _, _, comments = read_rows(out)
-        assert any(c.startswith("# seed 1:") for c in comments)
+        assert (
+            "# seed 1: investment_at_beta_infinity = 7.0 (unique coupling minimum at level 8)"
+            in comments
+        )
         # Seed 3 has a tied coupling minimum, so its endpoint is undefined.
         assert any(c.startswith("# seed 3:") and "undefined" in c for c in comments)
 

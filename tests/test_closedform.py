@@ -14,10 +14,12 @@ from pottsinvest import (
     Q3_CASE1_POSITIVE_J_LIMIT,
     Q3_CASE3_POSITIVE_J_LIMIT,
     classify_limits,
+    investment_at_beta_infinity,
     investment_q2,
     investment_q3_case1,
     investment_q3_case2,
     investment_q3_case3,
+    per_capita_investment,
 )
 
 
@@ -207,3 +209,42 @@ class TestClassifyLimits:
         info = classify_limits(p)
         assert info.beta_zero == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert info.beta_infinity == 2.0
+
+
+def limit_of(couplings, levels=None):
+    q = len(couplings)
+    return investment_at_beta_infinity(
+        ModelParams(q=q, beta=0.0, couplings=CouplingProfile(tuple(couplings)), levels=levels)
+    )
+
+
+class TestInvestmentAtBetaInfinity:
+    def test_negative_minimum_averages_the_levels_attaining_it(self):
+        assert limit_of((-1.0, -1.0, 0.0)) == 0.5
+        assert limit_of((1.0, -1.0)) == 1.0
+        assert limit_of((1.0, -2.0, -2.0), levels=(-1.0, 0.5, 3.0)) == 1.75
+
+    def test_positive_minimum_gives_the_level_mean(self):
+        assert limit_of((1.0, 2.0)) == 0.5
+        assert limit_of((4.0, 0.5, 0.5, 9.0)) == 1.5
+
+    def test_zero_minimum_is_the_quadratic_weighted_mean(self):
+        assert limit_of((3.0, 1.0, 0.0, 2.0, 4.0)) == 2.0
+        assert limit_of((0.0, 0.0, 0.0)) == 1.0
+        # Both q = 3 endpoints have mu = 1 + sqrt 3.
+        assert limit_of((0.0, 0.0, 1.0)) == pytest.approx(Q3_CASE1_POSITIVE_J_LIMIT, rel=2e-16)
+        assert limit_of((1.0, 0.0, 0.0)) == pytest.approx(Q3_CASE3_POSITIVE_J_LIMIT, rel=2e-16)
+
+    @given(
+        ints=st.lists(st.integers(-3, 3), min_size=2, max_size=40),
+        shift=st.sampled_from(("none", "zero", "positive")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_large_beta_curve_converges_to_it(self, ints, shift):
+        # Integer couplings keep every gap at least 1, so beta = 60 is within
+        # exp(-60) of the limit.
+        offset = {"none": 0, "zero": -min(ints), "positive": 1 - min(ints)}[shift]
+        j = tuple(float(v + offset) for v in ints)
+        q = len(j)
+        far = per_capita_investment(ModelParams(q=q, beta=60.0, couplings=CouplingProfile(j)))
+        assert abs(limit_of(j) - far) <= 1e-14 * (q - 1)

@@ -218,3 +218,17 @@ class TestBatchedEnsemble:
             for (b, got), (b_ref, ref) in zip(curve.points, want.points):
                 assert b == b_ref
                 assert abs(got - ref) <= 1e-14 * (q - 1)
+
+    def test_every_lane_settles_within_five_newton_steps(self, monkeypatch):
+        # Newton on the reciprocal secular function takes at most 4 steps per
+        # point on the benchmarked ensembles, counting the last one, which
+        # confirms the root; a cap of 5 must change no bit.
+        grid = np.linspace(0.0, 10.0, 200)
+        cases = ((15, range(1, 13)), (60, range(1, 5)))
+
+        def curve_bits(ens):
+            return np.array([[l for _, l in c.points] for c in ens.curves]).tobytes()
+
+        free = [curve_bits(ensemble_sweep(q, seeds, grid)) for q, seeds in cases]
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 5)
+        assert [curve_bits(ensemble_sweep(q, seeds, grid)) for q, seeds in cases] == free

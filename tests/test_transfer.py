@@ -161,6 +161,14 @@ class TestDominantEigenvalue:
         with pytest.raises(ValueError, match="zero external bias"):
             dominant_eigenvalue(params_for(2, 1.0, (1.0, -1.0), field=0.1))
 
+    def test_settles_within_six_newton_steps_on_the_readme_grid(self, monkeypatch):
+        # The README's --q 10 --profile aggressive grid needs at most 6 steps
+        # per point, counting the last one, which confirms the root.
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 6)
+        aggressive = [-float(k + 1) for k in range(10)]
+        for beta in np.linspace(0.0, 10.0, 200):
+            dominant_eigenvalue(params_for(10, float(beta), aggressive))
+
     def test_newton_cap_raises(self, monkeypatch):
         # From mu = 1 the root near 1.37 takes more than two Newton steps.
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 2)
