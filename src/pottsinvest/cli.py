@@ -326,10 +326,10 @@ def _curve_rows(curve: InvestmentCurve, betas: list[str], suffix: str = "") -> l
     return [f"{b},{val!r}{suffix}" for b, (_, val) in zip(betas, curve.points)]
 
 
-def _run_single(cfg: RunConfig) -> int:
+def _run_single(cfg: RunConfig, grid: list[float]) -> int:
     couplings = _resolve_couplings(cfg)
     params = _make_params(cfg, couplings)
-    curve = sweep_curve(params, _beta_grid(cfg))
+    curve = sweep_curve(params, grid)
     lines = ["beta,l"]
     lines.extend(_curve_rows(curve, [repr(b) for b, _ in curve.points]))
     if cfg.emit_limits:
@@ -338,8 +338,7 @@ def _run_single(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_ensemble(cfg: RunConfig) -> int:
-    grid = _beta_grid(cfg)
+def _run_ensemble(cfg: RunConfig, grid: list[float]) -> int:
     ensemble = ensemble_sweep(cfg.q, cfg.seeds, grid)
     betas = [repr(b) for b in grid]
     lines = ["beta,l,seed"]
@@ -374,11 +373,10 @@ def _closed_form_for(cfg: RunConfig, couplings: CouplingProfile):
     raise ConfigError("compare mode supports q=2 (any couplings) and the integrable q=3 cases")
 
 
-def _run_compare(cfg: RunConfig) -> int:
+def _run_compare(cfg: RunConfig, grid: list[float]) -> int:
     couplings = _resolve_couplings(cfg)
     closed = _closed_form_for(cfg, couplings)
     params = _make_params(cfg, couplings)
-    grid = _beta_grid(cfg)
     curve = sweep_curve(params, grid)
     lines = ["beta,l_numeric,l_closed_form,abs_error"]
     max_err = 0.0
@@ -404,16 +402,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _validate(_merge_settings(args))
-        _beta_grid(cfg)  # surface grid problems before any computation
+        grid = _beta_grid(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if cfg.compare:
-            return _run_compare(cfg)
+            return _run_compare(cfg, grid)
         if cfg.seeds is not None:
-            return _run_ensemble(cfg)
-        return _run_single(cfg)
+            return _run_ensemble(cfg, grid)
+        return _run_single(cfg, grid)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

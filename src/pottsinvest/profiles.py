@@ -19,10 +19,11 @@ transition per draw is:
 
 and uniform() maps the top 53 bits to [0, 1) as (output >> 11) / 2**53.
 
-An ensemble sweep stacks every (seed, beta) point into rows of exponents
--beta J and solves them together with :func:`.transfer.investment_rows`, a
-bounded block of rows at a time.  Rows never mix in a reduction, so each
-seed's curve is bitwise the one it would have if swept alone.
+An ensemble sweep lays every (seed, beta) point out as one lane (column) of
+a level-major block of exponents -beta J and solves the lanes together with
+:func:`.transfer.investment_lanes`, a bounded block at a time.  Lanes never
+mix in an operation, so each seed's curve is bitwise the one it would have
+if swept alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .derivatives import InvestmentCurve, SweepError, _checked_grid
 from .model import CouplingProfile, ModelParams
-from .transfer import ConvergenceError, investment_rows
+from .transfer import ConvergenceError, investment_lanes
 
 __all__ = [
     "SplitMix64",
@@ -127,7 +128,7 @@ class SeedEnsemble:
 def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     """Sweep one random-profile curve per seed and average them pointwise.
 
-    Every (seed, beta > 0) lane is solved by :func:`.transfer.investment_rows`
+    Every (seed, beta > 0) lane is solved by :func:`.transfer.investment_lanes`
     in blocks; beta = 0 lanes take the exact level mean.  A seed's curve is
     bitwise the same whether it is swept alone or with other seeds.  The
     mean uses exact (fsum) accumulation, so it is invariant under
@@ -172,16 +173,21 @@ def _sweep_lanes(seeds, params, grid) -> np.ndarray:
     skip = 1 if grid[0] == 0.0 else 0
     out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
     neg_beta = -np.asarray(grid[skip:])
-    n_hot = len(neg_beta)
-    n_lanes = len(seeds) * n_hot
-    rows = max(1, _BLOCK // q)
-    for start in range(0, n_lanes, rows):
-        seed_of, beta_of = np.divmod(np.arange(start, min(start + rows, n_lanes)), n_hot)
-        with np.errstate(over="ignore"):
-            x = neg_beta[beta_of][:, None] * couplings[seed_of]
-        try:
-            out[seed_of, beta_of + skip] = investment_rows(x, levels)
-        except (ValueError, ConvergenceError) as exc:
-            lane = exc.row
-            raise SweepError(grid[beta_of[lane] + skip], exc, seed=seeds[seed_of[lane]]) from exc
+    # A block is a rectangle of seeds x betas holding at most _BLOCK
+    # exponents.  It spans several seeds only when it holds their whole
+    # grids, so blocks run seed by seed, beta by beta.
+    width = max(1, min(len(neg_beta), _BLOCK // q))
+    height = max(1, _BLOCK // (q * width))
+    for s0 in range(0, len(seeds), height):
+        j = couplings[s0 : s0 + height].T[:, :, None]
+        for b0 in range(0, len(neg_beta), width):
+            b = neg_beta[b0 : b0 + width]
+            with np.errstate(over="ignore"):
+                x = np.multiply(b, j, order="C").reshape(q, -1)
+            try:
+                l = investment_lanes(x, levels)
+            except (ValueError, ConvergenceError) as exc:
+                seed, beta = divmod(exc.lane, len(b))
+                raise SweepError(grid[skip + b0 + beta], exc, seed=seeds[s0 + seed]) from exc
+            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = l.reshape(-1, len(b))
     return out

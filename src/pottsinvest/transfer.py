@@ -14,10 +14,11 @@ spectral quantity is reported either rescaled or in log space.
 At zero bias M = diag(c) + 1 1^T with c_a = exp(-beta J(a)) - 1, a rank-one
 update of a diagonal matrix, so its dominant eigenpair is the largest root
 of a scalar secular equation (Golub, SIAM Rev. 15, 1973) and never needs
-the matrix itself; :func:`investment_rows` runs the same solve on many
-coupling vectors at once, one per row.  The full spectrum for log Z_N comes
-from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the
-rescaled matrix.
+the matrix itself; :func:`investment_lanes` runs the same solve on many
+coupling vectors at once, as the lanes (columns) of a level-major (q, n)
+block whose every step and sum is elementwise across lanes.  The full
+spectrum for log Z_N comes from LAPACK's symmetric eigensolver
+(``numpy.linalg.eigvalsh``) on the rescaled matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "TransferMatrix",
     "build_matrix",
     "dominant_eigenvalue",
-    "investment_rows",
+    "investment_lanes",
     "log_partition_function",
 ]
 
@@ -91,16 +92,22 @@ def _require_finite(x: np.ndarray) -> None:
 
 
 def _secular_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maxima, gaps Delta and Newton starts along the last axis of finite exponents x.
+    """Maxima, gaps Delta and Newton starts along the first (level) axis of exponents x.
 
     Delta_a = exp(x_max + log(1 - exp(x_a - x_max))) is exactly 0 on levels
     tied at the maximum, where the logarithm is -inf, and inf where it
-    overflows; the start is the number of zero gaps.
+    overflows; the start is the number of zero gaps.  Delta is formed in place
+    in one buffer.  Gaps of a lane with a non-finite exponent mean nothing;
+    callers reject such lanes.
     """
-    x_max = x.max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore", divide="ignore"):
-        delta = np.exp(x_max + np.log(-np.expm1(x - x_max)))
-    return x_max[..., 0], delta, (delta == 0.0).sum(axis=-1, dtype=float)
+    x_max = x.max(axis=0, keepdims=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        delta = np.subtract(x, x_max, dtype=float)
+        np.expm1(delta, out=delta)
+        np.negative(delta, out=delta)
+        np.log(delta, out=delta)
+        np.exp(np.add(delta, x_max, out=delta), out=delta)
+    return x_max[0], delta, (delta == 0.0).sum(axis=0, dtype=float)
 
 
 def _unsettled(residual: float) -> ConvergenceError:
@@ -150,44 +157,64 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     return log_value, w / float(np.linalg.norm(w))
 
 
-def investment_rows(x: np.ndarray, levels) -> np.ndarray:
-    """Per-capita investment l for every row of exponents x (n, q), x_a = -beta J(a).
+def _level_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a over its first (level) axis by a fixed pairwise tree; a is overwritten.
 
-    Each row is solved as :func:`dominant_eigenvalue` solves one coupling
+    Only elementwise adds touch the data, so a lane's bits depend neither on
+    how many lanes share the block nor on its memory layout.  numpy's own
+    reductions promise neither: they sum a contiguous axis pairwise and a
+    strided one in order.
+    """
+    m = len(a)
+    while m > 1:
+        half = m // 2
+        np.add(a[:half], a[m - half : m], out=a[:half])
+        m -= half
+    return a[0]
+
+
+def investment_lanes(x: np.ndarray, levels) -> np.ndarray:
+    """Per-capita investment l for every lane (column) of exponents x (q, n), x_a = -beta J(a).
+
+    Each lane is solved as :func:`dominant_eigenvalue` solves one coupling
     vector: the same gaps, start, Newton steps on the concave reciprocal
-    1 / sum_a w_a, and cap.  A row is frozen once its step has settled, so it
-    takes exactly the steps it would take alone.  Then l = sum_a d_a w_a^2 /
+    1 / sum_a w_a, and cap.  Every step runs on the whole block; a lane whose
+    step has settled gets steps of exactly 0 from then on, so it takes
+    exactly the steps it would take alone.  Then l = sum_a d_a w_a^2 /
     sum_a w_a^2 with w_a = 1 / (mu + Delta_a), clamped to [d_0, d_{q-1}].
-    Every reduction is an elementwise product summed along the row, never a
-    matrix product, whose blocking would make a row's bits depend on the rows
-    around it.
+    Every sum over levels is :func:`_level_sum`, so each lane's bits are
+    the same alone, in any block and in any memory layout.
 
-    A row with a non-finite exponent raises ValueError, and a row still
+    A lane with a non-finite exponent raises ValueError, and a lane still
     moving after the step cap raises :class:`ConvergenceError`; the
-    exception's ``row`` attribute is the lowest such row.
+    exception's ``lane`` attribute is the lowest such lane.
     """
     lev = np.asarray(levels, dtype=float)
-    finite = np.isfinite(x).all(axis=1)
-    _, delta, mu = _secular_start(x[finite])
-    active = np.arange(len(mu))
+    finite = np.isfinite(x).all(axis=0)
+    _, delta, mu = _secular_start(x)
+    w, ww = np.empty_like(delta), np.empty_like(delta)
+    moving = finite.copy()
     for _ in range(_NEWTON_CAP):
-        if not active.size:
+        np.divide(1.0, np.add(delta, mu, out=w), out=w)
+        np.multiply(w, w, out=ww)
+        s1 = _level_sum(w)
+        step = (s1 - 1.0) * s1 / _level_sum(ww)
+        np.copyto(step, 0.0, where=~moving)
+        mu += step
+        moving &= ~(step <= _NEWTON_RTOL * mu)
+        if not moving.any():
             break
-        w = 1.0 / (mu[active][:, None] + delta[active])
-        s1 = w.sum(axis=1)
-        step = (s1 - 1.0) * s1 / (w * w).sum(axis=1)
-        mu[active] += step
-        moving = ~(step <= _NEWTON_RTOL * mu[active])
-        active, step = active[moving], step[moving]
-    failed = np.union1d(np.flatnonzero(~finite), np.flatnonzero(finite)[active])
+    failed = np.flatnonzero(moving | ~finite)
     if failed.size:
-        row = int(failed[0])
-        exc = _unsettled(float(step[0])) if finite[row] else ValueError(_OVERFLOW)
-        exc.row = row
+        lane = int(failed[0])
+        exc = _unsettled(float(step[lane])) if finite[lane] else ValueError(_OVERFLOW)
+        exc.lane = lane
         raise exc
-    w = 1.0 / (mu[:, None] + delta)
-    wt = w * w
-    return np.minimum(np.maximum((wt * lev).sum(axis=1) / wt.sum(axis=1), lev[0]), lev[-1])
+    np.divide(1.0, np.add(delta, mu, out=w), out=w)
+    np.multiply(w, w, out=ww)
+    np.multiply(ww, lev[:, None], out=w)
+    l = _level_sum(w) / _level_sum(ww)
+    return np.minimum(np.maximum(l, lev[0]), lev[-1])
 
 
 def log_partition_function(params: ModelParams, n_sites: int) -> float:

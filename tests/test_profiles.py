@@ -207,6 +207,26 @@ class TestBatchedEnsemble:
             mp.setattr(profiles, "_BLOCK", block)
             assert ensemble_sweep(q, seeds, grid).curves == together.curves
 
+    def test_a_long_grid_is_split_into_bounded_blocks(self, monkeypatch):
+        # 1 999 beta > 0 lanes of 60 levels hold about 120k exponents per
+        # seed, more than one block: each seed's grid is split.
+        q, seeds, grid = 60, (1, 2), np.linspace(0.0, 10.0, 2000).tolist()
+        sizes = []
+
+        def solve(x, levels):
+            sizes.append(x.size)
+            return transfer.investment_lanes(x, levels)
+
+        monkeypatch.setattr(profiles, "investment_lanes", solve)
+        split = ensemble_sweep(q, seeds, grid)
+        assert len(sizes) == 4 and max(sizes) <= profiles._BLOCK
+        monkeypatch.setattr(profiles, "_BLOCK", q * len(seeds) * len(grid))
+        sizes.clear()
+        whole = ensemble_sweep(q, seeds, grid)
+        assert len(sizes) == 1
+        assert split.curves == whole.curves
+        assert split.mean_curve == whole.mean_curve
+
     @pytest.mark.parametrize("q, seeds", [(15, range(1, 13)), (200, (1, 2, 3))])
     def test_matches_the_per_point_sweep(self, q, seeds):
         # A linear stretch near 0 plus a log grid out to 1e3.

@@ -177,25 +177,44 @@ class TestDominantEigenvalue:
         assert info.value.residual > 0.0
 
 
-class TestInvestmentRows:
+class TestInvestmentLanes:
     def test_tied_minima_stay_exact(self):
-        j = np.array([-1.0, -1.0, 0.0])
-        x = -np.array([[40.0], [1000.0]]) * j
-        assert transfer.investment_rows(x, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
+        j = np.array([[-1.0], [-1.0], [0.0]])
+        x = -j * np.array([40.0, 1000.0])
+        assert transfer.investment_lanes(x, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
 
-    def test_failure_names_the_lowest_failing_row(self, monkeypatch):
+    @pytest.mark.parametrize("q", [8, 9, 15, 60])
+    def test_bits_do_not_depend_on_block_or_layout(self, q):
+        # Random-profile exponents -beta J, as ensemble_sweep lays them out.
+        rng = np.random.default_rng(q)
+        x = -rng.integers(0, q, (q, 1000)) * rng.uniform(0.01, 10.0, 1000)
+        levels = tuple(float(a) for a in range(q))
+        want = transfer.investment_lanes(x, levels).tobytes()
+        for n in (1, 2, 3):
+            views = [x[:, i : i + n] for i in range(0, 1000, n)]
+            for blocks in (views, [np.ascontiguousarray(v) for v in views]):
+                lanes = [transfer.investment_lanes(b, levels) for b in blocks]
+                assert np.concatenate(lanes).tobytes() == want
+        for layout in (
+            np.asfortranarray(x),
+            np.ascontiguousarray(x.T).T,  # the lane-major (n, q) array, viewed level-major
+            np.stack([x, x], axis=-1)[..., 0],  # strided in both axes
+        ):
+            assert transfer.investment_lanes(layout, levels).tobytes() == want
+
+    def test_failure_names_the_lowest_failing_lane(self, monkeypatch):
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 1)
         settled = [0.0, 0.0]  # all levels tied: the first step is exactly 0
         unsettled = [-1.0, 1.0]  # the q = 2 root near 1.37 takes several steps
         overflow = [math.inf, 0.0]
         levels = (0.0, 1.0)
         with pytest.raises(ConvergenceError) as info:
-            transfer.investment_rows(np.array([settled, unsettled, overflow]), levels)
-        assert info.value.row == 1
+            transfer.investment_lanes(np.array([settled, unsettled, overflow]).T, levels)
+        assert info.value.lane == 1
         assert info.value.residual > 0.0
         with pytest.raises(ValueError, match="overflow") as info:
-            transfer.investment_rows(np.array([settled, overflow, unsettled]), levels)
-        assert info.value.row == 1
+            transfer.investment_lanes(np.array([settled, overflow, unsettled]).T, levels)
+        assert info.value.lane == 1
 
 
 class TestLogPartitionFunction:
