@@ -9,19 +9,23 @@ the per-point absolute error is emitted instead.  Every l(beta) comes from
 the exact secular-equation path of :func:`.derivatives.per_capita_investment`;
 the finite-difference stencil is a library-only cross-check.
 
-Configuration comes from flags, from a ``key=value`` file via ``--config``
-(``#`` starts a comment), or both; flags override the file.  Floats are
-written with repr, which round-trips exactly.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure (the message names the beta
-and, for ensembles, the seed).
+Settings come from flags, from a ``key=value`` file via ``--config``
+(``#`` starts a comment), or both.  Every long flag except ``--config`` is
+a key, spelt with dashes or underscores; a switch such as ``log_grid``
+takes true/false, yes/no, on/off or 1/0.  Each file line becomes a flag
+token, checked on its own by the same parser, and the file's tokens go in
+front of the command line, so flags override the file.  Floats are written
+with repr, which round-trips exactly.  Exit codes: 0 success, 2
+configuration error, 3 numerical failure (the message names the beta and,
+for ensembles, the seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,40 +41,25 @@ from .model import CouplingProfile, ModelParams
 from .profiles import ProfileSpec, ensemble_sweep, make_profile
 from .transfer import ConvergenceError
 
-__all__ = ["ConfigError", "RunConfig", "main"]
-
-_PROFILE_CHOICES = ("aggressive", "conservative", "random")
-
-_DEFAULTS = {
-    "beta_min": 0.0,
-    "beta_max": 10.0,
-    "beta_count": 200,
-    "log_grid": False,
-    "out": "-",
-    "emit_limits": False,
-    "compare": False,
-}
+__all__ = ["ConfigError", "main"]
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated run request."""
+def _list_of(kind):
+    """argparse type: a non-empty comma-separated list of ``kind`` values, as a tuple."""
 
-    q: int
-    profile: str | None
-    couplings: tuple[float, ...] | None
-    beta_min: float
-    beta_max: float
-    beta_count: int
-    log_grid: bool
-    seeds: tuple[int, ...] | None
-    out: str
-    emit_limits: bool
-    compare: bool
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {kind.__name__}s, got '{text}'"
+            ) from None
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,43 +67,55 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pottsinvest",
         description="Sweep the per-capita investment curve l(beta) of a ring "
         "of q-level agents and write it as CSV.",
+        exit_on_error=False,
     )
     p.add_argument("--config", metavar="PATH", help="key=value config file; flags override it")
     p.add_argument("--q", type=int, help="number of investment levels (>= 2)")
     p.add_argument(
         "--profile",
-        choices=_PROFILE_CHOICES,
+        choices=("aggressive", "conservative", "random"),
         help="coupling profile; 'random' draws couplings per seed",
     )
     p.add_argument(
         "--couplings",
+        type=_list_of(float),
         metavar="J0,J1,...",
         help="explicit comma-separated coupling strengths (exactly q of them)",
     )
-    p.add_argument("--beta-min", type=float, help="grid start (default 0)")
-    p.add_argument("--beta-max", type=float, help="grid end (default 10)")
-    p.add_argument("--beta-count", type=int, help="number of grid points (default 200)")
+    p.add_argument("--beta-min", type=float, default=0.0, help="grid start (default 0)")
+    p.add_argument("--beta-max", type=float, default=10.0, help="grid end (default 10)")
+    p.add_argument("--beta-count", type=int, default=200, help="number of grid points (default 200)")
     p.add_argument(
         "--log-grid",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="space the grid logarithmically (requires beta-min > 0)",
     )
-    p.add_argument("--seeds", metavar="S1,S2,...", help="seeds for random-profile ensembles")
-    p.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (default)")
+    p.add_argument(
+        "--seeds",
+        type=_list_of(int),
+        metavar="S1,S2,...",
+        help="seeds for random-profile ensembles",
+    )
+    p.add_argument("--out", default="-", metavar="PATH", help="output file, '-' for stdout (default)")
     p.add_argument(
         "--emit-limits",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="append the exact beta=0 value and large-beta classification as comments",
     )
     p.add_argument(
         "--compare",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="emit numeric-vs-closed-form errors instead of the curve",
     )
     return p
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv, reporting a bad flag or value as argparse does (usage, exit 2)."""
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 # List flags whose value may begin with a minus sign.  argparse reads a
@@ -134,22 +135,8 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
     return joined
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError("expected a non-empty comma-separated list")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError("expected a non-empty comma-separated list")
-    return tuple(int(p) for p in parts)
-
-
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -157,29 +144,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got '{text}'")
 
 
-# Config-file keys and their coercions; keys match the flag names.
-_FILE_KEYS = {
-    "q": int,
-    "profile": str,
-    "couplings": str,
-    "beta_min": float,
-    "beta_max": float,
-    "beta_count": int,
-    "log_grid": _parse_bool,
-    "seeds": str,
-    "out": str,
-    "emit_limits": _parse_bool,
-    "compare": _parse_bool,
-}
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The lines of a key=value file as flag tokens, each checked by ``parser``.
 
-
-def _read_config_file(path: str) -> dict:
+    A key is a long flag's name; a switch (a flag whose default is False)
+    becomes the bare flag when its value is true and no token when false.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
+    defaults = vars(parser.parse_args([]))
+    del defaults["config"]
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,107 +167,73 @@ def _read_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         val = val.strip()
-        if key not in _FILE_KEYS:
+        if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        flag = "--" + key.replace("_", "-")
         try:
-            values[key] = _FILE_KEYS[key](val)
-        except ValueError as exc:
+            if defaults[key] is False:
+                token = [flag] if _parse_bool(val) else []
+            else:
+                token = [f"{flag}={val}"]
+                parser.parse_args(token)
+        except (argparse.ArgumentError, ValueError) as exc:
             raise ConfigError(f"{path}:{lineno}: invalid value for '{key}': {exc}") from exc
-    return values
+        tokens += token
+    return tokens
 
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
-    if args.config is not None:
-        settings.update(_read_config_file(args.config))
-    for key in _FILE_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    return settings
-
-
-def _validate(settings: dict) -> RunConfig:
-    q = settings.get("q")
-    if q is None:
+def _validate(args: argparse.Namespace) -> None:
+    """Rules across settings, which no single flag's type or choices can check."""
+    if args.q is None:
         raise ConfigError("q is required (flag --q or config key q)")
-    profile = settings.get("profile")
-    if profile is not None and profile not in _PROFILE_CHOICES:
-        raise ConfigError(f"profile must be one of {_PROFILE_CHOICES}")
-    couplings_text = settings.get("couplings")
-    couplings: tuple[float, ...] | None = None
-    if couplings_text is not None:
-        try:
-            couplings = _parse_floats(str(couplings_text))
-        except ValueError as exc:
-            raise ConfigError(f"invalid couplings '{couplings_text}': {exc}") from exc
-    if (profile is None) == (couplings is None):
+    if args.q < 2:
+        raise ConfigError("q must be at least 2")
+    if (args.profile is None) == (args.couplings is None):
         raise ConfigError("exactly one of profile or couplings must be given")
-    seeds: tuple[int, ...] | None = None
-    seeds_text = settings.get("seeds")
-    if seeds_text is not None:
-        try:
-            seeds = _parse_ints(str(seeds_text))
-        except ValueError as exc:
-            raise ConfigError(f"invalid seeds '{seeds_text}': {exc}") from exc
-        if not seeds:
-            raise ConfigError("seeds list must not be empty")
-    if profile == "random" and seeds is None:
+    if args.profile == "random" and args.seeds is None:
         raise ConfigError("the random profile requires --seeds")
-    if seeds is not None and profile != "random":
+    if args.seeds is not None and args.profile != "random":
         raise ConfigError("seeds are only meaningful with --profile random")
-    cfg = RunConfig(
-        q=int(q),
-        profile=profile,
-        couplings=couplings,
-        beta_min=float(settings["beta_min"]),
-        beta_max=float(settings["beta_max"]),
-        beta_count=int(settings["beta_count"]),
-        log_grid=bool(settings["log_grid"]),
-        seeds=seeds,
-        out=str(settings["out"]),
-        emit_limits=bool(settings["emit_limits"]),
-        compare=bool(settings["compare"]),
-    )
-    if cfg.compare and cfg.seeds is not None:
+    if args.compare and args.seeds is not None:
         raise ConfigError("compare mode needs a single deterministic coupling vector")
-    if cfg.compare and cfg.emit_limits:
+    if args.compare and args.emit_limits:
         raise ConfigError("emit-limits is not available in compare mode")
-    return cfg
 
 
-def _beta_grid(cfg: RunConfig) -> list[float]:
-    if cfg.beta_count < 1:
+def _beta_grid(args: argparse.Namespace) -> list[float]:
+    if args.beta_count < 1:
         raise ConfigError("beta-count must be at least 1")
-    if cfg.beta_min < 0.0:
+    if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
+        raise ConfigError("beta-min and beta-max must be finite")
+    if args.beta_min < 0.0:
         raise ConfigError("beta-min must be non-negative")
-    if cfg.beta_count == 1:
-        return [cfg.beta_min]
-    if cfg.beta_max <= cfg.beta_min:
+    if args.beta_count == 1:
+        return [args.beta_min]
+    if args.beta_max <= args.beta_min:
         raise ConfigError("beta-max must exceed beta-min")
-    if cfg.log_grid:
-        if cfg.beta_min <= 0.0:
+    if args.log_grid:
+        if args.beta_min <= 0.0:
             raise ConfigError("log grid requires beta-min > 0")
-        return [float(b) for b in np.geomspace(cfg.beta_min, cfg.beta_max, cfg.beta_count)]
-    return [float(b) for b in np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_count)]
+        return [float(b) for b in np.geomspace(args.beta_min, args.beta_max, args.beta_count)]
+    return [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.beta_count)]
 
 
-def _resolve_couplings(cfg: RunConfig) -> CouplingProfile:
+def _resolve_couplings(args: argparse.Namespace) -> CouplingProfile:
     """Coupling vector for non-ensemble runs (explicit or deterministic profile)."""
-    if cfg.couplings is not None:
+    if args.couplings is not None:
         try:
-            profile = CouplingProfile(cfg.couplings)
+            profile = CouplingProfile(args.couplings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if profile.q != cfg.q:
-            raise ConfigError(f"couplings list has {profile.q} entries, expected q={cfg.q}")
+        if profile.q != args.q:
+            raise ConfigError(f"couplings list has {profile.q} entries, expected q={args.q}")
         return profile
-    return make_profile(ProfileSpec(kind=cfg.profile, q=cfg.q))
+    return make_profile(ProfileSpec(kind=args.profile, q=args.q))
 
 
-def _make_params(cfg: RunConfig, couplings: CouplingProfile) -> ModelParams:
+def _make_params(args: argparse.Namespace, couplings: CouplingProfile) -> ModelParams:
     try:
-        return ModelParams(q=cfg.q, beta=0.0, couplings=couplings)
+        return ModelParams(q=args.q, beta=0.0, couplings=couplings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -326,40 +270,40 @@ def _curve_rows(curve: InvestmentCurve, betas: list[str], suffix: str = "") -> l
     return [f"{b},{val!r}{suffix}" for b, (_, val) in zip(betas, curve.points)]
 
 
-def _run_single(cfg: RunConfig, grid: list[float]) -> int:
-    couplings = _resolve_couplings(cfg)
-    params = _make_params(cfg, couplings)
+def _run_single(args: argparse.Namespace, grid: list[float]) -> int:
+    couplings = _resolve_couplings(args)
+    params = _make_params(args, couplings)
     curve = sweep_curve(params, grid)
     lines = ["beta,l"]
     lines.extend(_curve_rows(curve, [repr(b) for b, _ in curve.points]))
-    if cfg.emit_limits:
+    if args.emit_limits:
         lines.extend(_limit_lines(params))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _run_ensemble(cfg: RunConfig, grid: list[float]) -> int:
-    ensemble = ensemble_sweep(cfg.q, cfg.seeds, grid)
+def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> int:
+    ensemble = ensemble_sweep(args.q, args.seeds, grid)
     betas = [repr(b) for b in grid]
     lines = ["beta,l,seed"]
     for seed, curve in zip(ensemble.seeds, ensemble.curves):
         lines.extend(_curve_rows(curve, betas, f",{seed}"))
     lines.extend(_curve_rows(ensemble.mean_curve, betas, ",mean"))
-    if cfg.emit_limits:
+    if args.emit_limits:
         first = ensemble.curves[0].params_snapshot
-        lines.append(f"# investment_at_beta_zero = {sum(first.levels) / cfg.q!r}")
+        lines.append(f"# investment_at_beta_zero = {sum(first.levels) / args.q!r}")
         for seed, curve in zip(ensemble.seeds, ensemble.curves):
             lines.extend(_limit_lines(curve.params_snapshot, seed=seed))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _closed_form_for(cfg: RunConfig, couplings: CouplingProfile):
+def _closed_form_for(args: argparse.Namespace, couplings: CouplingProfile):
     """Pick the exact curve matching (q, couplings), or explain why none does."""
     j = couplings.values
-    if cfg.q == 2:
+    if args.q == 2:
         return lambda beta: investment_q2(beta, j[0], j[1])
-    if cfg.q == 3:
+    if args.q == 3:
         if j[0] == 0.0 and j[1] == 0.0:
             return lambda beta: investment_q3_case1(beta, j[2])
         if j[0] == 0.0 and j[2] == 0.0:
@@ -373,10 +317,10 @@ def _closed_form_for(cfg: RunConfig, couplings: CouplingProfile):
     raise ConfigError("compare mode supports q=2 (any couplings) and the integrable q=3 cases")
 
 
-def _run_compare(cfg: RunConfig, grid: list[float]) -> int:
-    couplings = _resolve_couplings(cfg)
-    closed = _closed_form_for(cfg, couplings)
-    params = _make_params(cfg, couplings)
+def _run_compare(args: argparse.Namespace, grid: list[float]) -> int:
+    couplings = _resolve_couplings(args)
+    closed = _closed_form_for(args, couplings)
+    params = _make_params(args, couplings)
     curve = sweep_curve(params, grid)
     lines = ["beta,l_numeric,l_closed_form,abs_error"]
     max_err = 0.0
@@ -386,32 +330,32 @@ def _run_compare(cfg: RunConfig, grid: list[float]) -> int:
         max_err = max(max_err, err)
         lines.append(f"{b!r},{numeric!r},{exact!r},{err!r}")
     lines.append(f"# max_abs_error = {max_err!r}")
-    _write_text(cfg.out, "\n".join(lines) + "\n")
-    if cfg.out != "-":
+    _write_text(args.out, "\n".join(lines) + "\n")
+    if args.out != "-":
         print(f"max_abs_error = {max_err!r}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_join_negative_lists(argv))
+        args = _parse(parser, argv)
+        if args.config is not None:
+            args = _parse(parser, _config_tokens(parser, args.config) + argv)
+        _validate(args)
+        grid = _beta_grid(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        cfg = _validate(_merge_settings(args))
-        grid = _beta_grid(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if cfg.compare:
-            return _run_compare(cfg, grid)
-        if cfg.seeds is not None:
-            return _run_ensemble(cfg, grid)
-        return _run_single(cfg, grid)
+        if args.compare:
+            return _run_compare(args, grid)
+        if args.seeds is not None:
+            return _run_ensemble(args, grid)
+        return _run_single(args, grid)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,9 @@ offered:
     two_point:   (f(xi) - f(-xi)) / (2 xi)                      error O(xi^2)
     four_point:  4/3 * two_point(xi) - 1/3 * two_point(2 xi)    error O(xi^4)
 
-All matrices in one stencil share the log scale of the zero-bias matrix.
-A per-matrix scale would shift each eigenvalue by a different factor and
-corrupt the difference; with a common scale the factor cancels in the
-ratio, so l never touches the (potentially astronomically large) true
-eigenvalue magnitudes.
+Here f is log lambda_1, the log of the scaled matrix's top eigenvalue plus
+its log scale, so l = -f'(0) / beta and the true eigenvalue, which can be
+astronomically large, is never formed.
 """
 
 from __future__ import annotations
@@ -112,19 +110,14 @@ def _require_zero_field(params: ModelParams) -> None:
 
 
 def _stencil_investment(params: ModelParams, cfg: StencilConfig) -> float:
-    """l(beta) from the bias derivative of the scaled dominant eigenvalue.
-
-    Every matrix is built under the log scale of the zero-offset matrix,
-    so the scale cancels in the ratio.
-    """
-    s0 = build_matrix(params).log_scale
+    """l(beta) = -(d log lambda_1 / dD) / beta by a finite difference in the bias."""
 
     def f(offset: float) -> float:
-        m = build_matrix(replace(params, field=offset), log_scale=s0)
-        return float(np.linalg.eigvalsh(m.entries)[-1])
+        m = build_matrix(replace(params, field=offset))
+        return math.log(np.linalg.eigvalsh(m.entries)[-1]) + m.log_scale
 
     diff = central_difference if cfg.order == "two_point" else richardson_difference
-    return -diff(f, cfg.xi) / (params.beta * f(0.0))
+    return -diff(f, cfg.xi) / params.beta
 
 
 def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None) -> float:

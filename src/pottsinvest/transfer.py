@@ -62,13 +62,11 @@ class TransferMatrix:
     log_scale: float
 
 
-def build_matrix(params: ModelParams, log_scale: float | None = None) -> TransferMatrix:
+def build_matrix(params: ModelParams) -> TransferMatrix:
     """Construct the rescaled transfer matrix for the given parameters.
 
-    By default the scale is the largest raw exponent, which puts the largest
-    entry at exactly 1.  Passing ``log_scale`` pins the scale externally;
-    the finite-difference stencil uses this so that matrices at different
-    bias offsets stay mutually comparable.
+    The scale is the largest raw exponent, which puts the largest entry at
+    exactly 1.
     """
     lev = np.asarray(params.levels)
     # Overflow to inf/nan here is caught by the finiteness check below.
@@ -79,8 +77,8 @@ def build_matrix(params: ModelParams, log_scale: float | None = None) -> Transfe
         # exactly symmetric matrices with no per-pair bookkeeping.
         x = -(0.5 * bf) * (lev[:, None] + lev[None, :]) - np.diag(bj)
     _require_finite(x)
-    s = float(x.max()) if log_scale is None else float(log_scale)
-    return TransferMatrix(entries=np.exp(x - s), log_scale=s)
+    s = float(x.max())
+    return TransferMatrix(np.exp(x - s), s)
 
 
 _OVERFLOW = "transfer-matrix exponents overflow; reduce beta*J or beta*D"

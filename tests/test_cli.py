@@ -304,6 +304,67 @@ class TestConfigFile:
         assert run_cli("--config", str(tmp_path / "absent.cfg")) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    # Each file line becomes a flag token, so a file and the flags it spells
+    # must give the same bytes.
+    BASE = "q = 2\ncouplings = 1.0,-1.0\nbeta_min = 0.5\nbeta_count = 3\n"
+    BASE_FLAGS = ("--q", "2", "--couplings=1.0,-1.0", "--beta-min", "0.5", "--beta-count", "3")
+
+    def file_and_flags(self, tmp_path, capsys, lines, file_flags, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.BASE + lines, encoding="utf-8")
+        assert run_cli("--config", str(cfg), *file_flags) == 0
+        from_file = capsys.readouterr().out
+        assert run_cli(*self.BASE_FLAGS, *flags) == 0
+        return from_file, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "lines, flags",
+        [
+            ("couplings = -1,1\n", ["--couplings=-1,1"]),
+            ("log_grid = yes\nemit_limits = on\n", ["--log-grid", "--emit-limits"]),
+            ("Log-Grid = TRUE\nemit-limits = 1\n", ["--log-grid", "--emit-limits"]),
+            ("log_grid = no\ncompare = off\n", []),
+        ],
+        ids=["negative-list", "switches-on", "switch-spellings", "switches-off"],
+    )
+    def test_file_matches_flags(self, tmp_path, capsys, lines, flags):
+        from_file, from_flags = self.file_and_flags(tmp_path, capsys, lines, [], flags)
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize(
+        "lines, flags",
+        [
+            ("beta_count = 5\n", ["--beta-count", "4"]),
+            ("couplings = 1,1\n", ["--couplings", "-1,1"]),
+            ("log_grid = off\n", ["--log-grid"]),
+        ],
+        ids=["value", "list", "switch"],
+    )
+    def test_flag_beats_file(self, tmp_path, capsys, lines, flags):
+        from_file, from_flags = self.file_and_flags(tmp_path, capsys, lines, flags, flags)
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize(
+        "text, lineno, key",
+        [
+            ("q = 2\ncompare = maybe\n", 2, "compare"),
+            ("q = 2\ncouplings = 1,,2\n", 2, "couplings"),
+            ("profile = bold\n", 1, "profile"),
+        ],
+        ids=["switch", "list", "choice"],
+    )
+    def test_bad_value_names_key_and_line(self, tmp_path, capsys, text, lineno, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli("--config", str(cfg)) == 2
+        assert f"{cfg}:{lineno}: invalid value for '{key}'" in capsys.readouterr().err
+
+    def test_config_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 2\nconfig = x.cfg\n", encoding="utf-8")
+        assert run_cli("--config", str(cfg)) == 2
+        assert f"{cfg}:2: unknown key 'config'" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_q(self, capsys):
@@ -337,6 +398,28 @@ class TestExitCodes:
         assert run_cli("--q", "2", "--couplings", "1,2",
                        "--beta-min", "5", "--beta-max", "5") == 2
         assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "0") == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--profile", "aggressive"), ("--profile", "random", "--seeds", "1")],
+        ids=["aggressive", "random"],
+    )
+    def test_q_below_two(self, capsys, args):
+        assert run_cli("--q", "1", *args) == 2
+        assert "q must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--beta-min", "nan"),
+            ("--beta-max", "inf"),
+            ("--log-grid", "--beta-min", "1", "--beta-max", "1e400"),
+        ],
+        ids=["nan-min", "inf-max", "log-grid-overflow"],
+    )
+    def test_non_finite_grid_bounds(self, capsys, bounds):
+        assert run_cli("--q", "2", "--couplings", "1,2", *bounds) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_numerical_failure_names_beta(self, capsys):
         code = run_cli("--q", "2", "--couplings=-1e308,0",

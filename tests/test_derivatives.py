@@ -98,12 +98,12 @@ class TestEigenDerivative:
 
     def test_infinite_temperature_derivative_vanishes(self):
         # At beta = 0 the matrix is all ones for every bias offset, so the
-        # stencil's difference of lambda_1 is exactly zero.
+        # stencil's difference of log lambda_1 is exactly zero.
         p = params_for(4, 0.0, (1.0, -2.0, 0.5, 0.0))
 
         def f(offset):
-            m = build_matrix(replace(p, field=offset), log_scale=0.0)
-            return float(np.linalg.eigvalsh(m.entries)[-1])
+            m = build_matrix(replace(p, field=offset))
+            return math.log(np.linalg.eigvalsh(m.entries)[-1]) + m.log_scale
 
         assert richardson_difference(f, StencilConfig().xi) == 0.0
 
@@ -112,22 +112,19 @@ class TestEigenDerivative:
         with pytest.raises(ValueError, match="zero external bias"):
             per_capita_investment(p, StencilConfig(order="two_point"))
 
-    def test_pinned_scale_leaves_investment_ratio_unchanged(self):
+    def test_log_difference_matches_shared_scale_ratio(self):
+        # The paper's form: difference lambda_1 itself, every matrix rescaled
+        # to the zero-bias scale, and divide by beta lambda_1.
         p = params_for(3, 2.0, (0.0, 0.0, 1.0))
         cfg = StencilConfig()
-        base = build_matrix(p)
+        s0 = build_matrix(p).log_scale
 
-        def ratio_at(scale):
-            def f(offset):
-                m = build_matrix(replace(p, field=offset), log_scale=scale)
-                return float(np.linalg.eigvalsh(m.entries)[-1])
+        def f(offset):
+            m = build_matrix(replace(p, field=offset))
+            return float(np.linalg.eigvalsh(m.entries * math.exp(m.log_scale - s0))[-1])
 
-            return -richardson_difference(f, cfg.xi) / (p.beta * f(0.0))
-
-        assert ratio_at(base.log_scale - 10.0) == pytest.approx(
-            ratio_at(base.log_scale), rel=1e-11
-        )
-        assert ratio_at(base.log_scale) == pytest.approx(per_capita_investment(p, cfg), rel=1e-11)
+        ratio = -richardson_difference(f, cfg.xi) / (p.beta * f(0.0))
+        assert ratio == pytest.approx(per_capita_investment(p, cfg), rel=1e-11)
 
 
 class TestPerCapitaInvestment:

@@ -81,13 +81,6 @@ class TestBuildMatrix:
         assert np.array_equal(a.entries, b.entries)
         assert a.log_scale == b.log_scale
 
-    def test_pinned_scale_is_respected(self):
-        p = params_for(2, 2.0, (1.0, -1.0))
-        free = build_matrix(p)
-        pinned = build_matrix(p, log_scale=free.log_scale + 3.0)
-        assert pinned.log_scale == free.log_scale + 3.0
-        assert pinned.entries == pytest.approx(free.entries * math.exp(-3.0), rel=1e-14)
-
     def test_rejects_overflowing_exponents(self):
         p = params_for(2, 1e160, (-1e160, 0.0))
         with pytest.raises(ValueError, match="overflow"):
