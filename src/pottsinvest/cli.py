@@ -207,13 +207,13 @@ def _beta_grid(args: argparse.Namespace) -> list[float]:
         raise ConfigError("beta-min and beta-max must be finite")
     if args.beta_min < 0.0:
         raise ConfigError("beta-min must be non-negative")
+    if args.log_grid and args.beta_min <= 0.0:
+        raise ConfigError("log grid requires beta-min > 0")
     if args.beta_count == 1:
         return [args.beta_min]
     if args.beta_max <= args.beta_min:
         raise ConfigError("beta-max must exceed beta-min")
     if args.log_grid:
-        if args.beta_min <= 0.0:
-            raise ConfigError("log grid requires beta-min > 0")
         return [float(b) for b in np.geomspace(args.beta_min, args.beta_max, args.beta_count)]
     return [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.beta_count)]
 

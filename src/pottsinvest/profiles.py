@@ -59,6 +59,17 @@ ProfileKind = Literal["aggressive", "conservative", "random"]
 _KINDS = ("aggressive", "conservative", "random")
 
 
+def _mix(z):
+    """SplitMix64 output for state z: a Python int, or a uint64 array mixed elementwise.
+
+    uint64 arrays wrap modulo 2**64 on their own, so the masks only matter
+    for Python ints.
+    """
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Deterministic 64-bit generator with the documented state transition."""
 
@@ -67,10 +78,7 @@ class SplitMix64:
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return _mix(self._state)
 
     def uniform(self) -> float:
         """Uniform draw on [0, 1) with 53 random bits."""
@@ -105,9 +113,21 @@ def make_profile(spec: ProfileSpec) -> CouplingProfile:
         return CouplingProfile(tuple(-float(k + 1) for k in range(q)))
     if spec.kind == "conservative":
         return CouplingProfile(tuple(-float(q - k) for k in range(q)))
-    rng = SplitMix64(spec.seed)
-    values = tuple(min(float(math.floor(rng.uniform() * q)), q - 1.0) for _ in range(q))
-    return CouplingProfile(values)
+    return CouplingProfile(tuple(_random_couplings(q, [spec.seed])[0].tolist()))
+
+
+def _random_couplings(q: int, seeds: Sequence[int]) -> np.ndarray:
+    """Random-profile couplings for every seed at once, as an (n_seeds, q) array.
+
+    Row i holds the q draws floor(u * q), clamped to q - 1, of
+    ``SplitMix64(seeds[i])``, bit for bit: draw k of a seed mixes the state
+    seed + k * 0x9E3779B97F4A7C15 modulo 2**64, so every state of every seed
+    is formed and mixed in one uint64 pass.
+    """
+    start = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    states = start[:, None] + np.arange(1, q + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    u = (_mix(states) >> 11).astype(float) * 2.0**-53
+    return np.minimum(np.floor(u * q), q - 1.0)
 
 
 @dataclass(frozen=True)
@@ -138,12 +158,14 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    ProfileSpec("random", q, seeds[0])  # rejects a bad q as make_profile does
+    couplings = _random_couplings(q, seeds)
     params = tuple(
-        ModelParams(q=q, beta=0.0, couplings=make_profile(ProfileSpec("random", q, seed)))
-        for seed in seeds
+        ModelParams(q=q, beta=0.0, couplings=CouplingProfile(tuple(row)))
+        for row in couplings.tolist()
     )
     grid = _checked_grid(betas)
-    values = _sweep_lanes(seeds, params, grid).tolist()
+    values = _sweep_lanes(seeds, couplings, params[0].levels, grid).tolist()
     curves = tuple(
         InvestmentCurve(
             points=tuple(zip(grid, row)), method="numeric", params_snapshot=p, seed=seed
@@ -164,11 +186,9 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     )
 
 
-def _sweep_lanes(seeds, params, grid) -> np.ndarray:
-    """l for every (seed, beta) lane as an (n_seeds, n_beta) array."""
-    levels = params[0].levels
+def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
+    """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q)."""
     q = len(levels)
-    couplings = np.array([p.couplings.values for p in params])
     # The grid is increasing and non-negative, so only its first point can be 0.
     skip = 1 if grid[0] == 0.0 else 0
     out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)

@@ -11,14 +11,17 @@ exp(x_ab - s) with s the largest raw exponent, and s is carried separately
 as ``log_scale``.  The maximal rescaled entry is exactly 1 and every
 spectral quantity is reported either rescaled or in log space.
 
-At zero bias M = diag(c) + 1 1^T with c_a = exp(-beta J(a)) - 1, a rank-one
-update of a diagonal matrix, so its dominant eigenpair is the largest root
-of a scalar secular equation (Golub, SIAM Rev. 15, 1973) and never needs
-the matrix itself; :func:`investment_lanes` runs the same solve on many
-coupling vectors at once, as the lanes (columns) of a level-major (q, n)
-block whose every step and sum is elementwise across lanes.  The full
-spectrum for log Z_N comes from LAPACK's symmetric eigensolver
-(``numpy.linalg.eigvalsh``) on the rescaled matrix.
+At any bias M = diag(e) + s s^T with s_a = exp(-beta D d_a / 2) and e_a =
+s_a^2 (exp(-beta J(a)) - 1), a rank-one update of a diagonal matrix, so its
+dominant eigenpair is the largest root of a scalar secular equation with
+weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
+itself; :func:`investment_lanes` runs the zero-bias solve on many coupling
+vectors at once, as the lanes (columns) of a level-major (q, n) block whose
+every step and sum is elementwise across lanes.  By interlacing, every
+other eigenvalue is at most max_a |e_a| in size, so once N is long enough
+log Z_N = N log lambda_1 to rounding; shorter rings take the full spectrum
+from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the
+rescaled matrix.
 """
 
 from __future__ import annotations
@@ -39,11 +42,26 @@ __all__ = [
     "log_partition_function",
 ]
 
-# Newton steps allowed for the secular equation.  At most 8 were needed
-# over q up to 300, beta from 1e-3 to 1e3 and tied or near-tied coupling
-# minima, and at most 4 on random-profile ensembles up to q = 200.
+# Newton steps allowed for the secular equation.  At zero bias at most 8
+# were needed over q up to 300, beta from 1e-3 to 1e3 and tied or near-tied
+# coupling minima, and at most 4 on random-profile ensembles up to q = 200;
+# at nonzero bias at most 9 over q up to 200, beta to 1e3 and |D| to 10.
 _NEWTON_CAP = 100
 _NEWTON_RTOL = 1e-14
+
+# log of the share of Z_N below which the subdominant eigenvalues leave
+# log Z_N = N log lambda_1 to rounding.
+_LOG_NEGLIGIBLE = -53.0 * math.log(2.0)
+
+# Relative error of each eigenvalue from eigvalsh, in units of the largest,
+# and the accuracy log Z_N must keep on the spectral path.
+_SPECTRUM_ERROR = 2.0**-52
+_LOG_Z_RTOL = 1e-10
+
+# Smallest bias weight s_a^2 the secular solve uses; far below the rounding
+# of any scaled entry, it keeps every weight, and so every secular term
+# and derivative, finite and nonzero.
+_WEIGHT_FLOOR = 1e-300
 
 
 class ConvergenceError(RuntimeError):
@@ -114,42 +132,126 @@ def _unsettled(residual: float) -> ConvergenceError:
     )
 
 
+def _rank_one(params: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """Scale t, log diagonal z and weights c with M = exp(t) (diag(exp(z) - c) + s s^T), c = s^2.
+
+    With y_a = -beta D d_a and x_a = -beta J(a), M[a][b] = exp((y_a + y_b) / 2
+    + x_a [a == b]), so z_a = x_a + y_a - t and c_a = exp(y_a - t), all in
+    O(q).  t is the largest exponent of any entry, on the diagonal or between
+    the two most weighted levels (y is monotone in the level), so the largest
+    scaled entry is exactly 1.  A weight below ``_WEIGHT_FLOOR`` is raised to
+    it.  One weight can exceed 1; it overflows to inf only when beta |D|
+    times the step between the two end levels exceeds about 1400.
+    """
+    bias = -(params.beta * params.field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.array(params.levels) * bias
+        z = y - params.beta * np.array(params.couplings.values)
+        t = max(float(z.max()), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
+        c = np.exp(y - t)
+        np.maximum(c, _WEIGHT_FLOOR, out=c)
+        z -= t
+    _require_finite(z)
+    return t, z, c
+
+
+def _secular_root(delta: np.ndarray, mu: float, c: np.ndarray | None = None) -> float:
+    """Root mu of the secular equation by Newton from below.
+
+    With unit weights (``c=None``) the equation is sum_a w_a = 1, and with
+    weights c it is sum_a c_a w_a = 1, where w_a = 1 / (mu + delta_a) or
+    1 / (mu + delta_a + c_a).  Newton runs on the reciprocal h(mu) = 1 /
+    sum_a c_a w_a, whose root h = 1 is the same (Moré & Sorensen, SIAM J.
+    Sci. Stat. Comput. 4, 1983): the step is (S1 - 1) S1 / S2 with S1 =
+    sum c w and S2 = sum c w^2.  h is a scaled weighted harmonic mean of the
+    denominators, so it is concave and increasing, and Newton from a start
+    where h <= 1 increases monotonically to the root without overshooting;
+    being nearly linear it needs only a few steps.  With weights a term
+    c_m w_m can lie so close to 1 that rounding hides how it moves with mu,
+    as when c_m is far above mu + delta_m; S1 - 1 therefore takes the
+    largest term as c_m w_m - 1 = -(mu + delta_m) w_m, which cancels
+    nothing.  Raises :class:`ConvergenceError` if it has not settled within
+    a fixed step cap.
+    """
+    gap = delta if c is None else delta + c
+    for _ in range(_NEWTON_CAP):
+        w = 1.0 / (mu + gap)
+        if c is None:
+            s1 = float(w.sum())
+            excess, s2 = s1 - 1.0, float(w @ w)
+        else:
+            cw = c * w
+            s2 = float(cw @ w)
+            m = int(cw.argmax())
+            cw[m] = -(mu + delta[m]) * w[m]
+            excess = float(cw.sum())
+            s1 = excess + 1.0
+        step = excess * s1 / s2
+        mu += step
+        if step <= _NEWTON_RTOL * mu:
+            return mu
+    raise _unsettled(step)
+
+
+def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
+    """A lower bound on nu, so a Newton start, from 2 x 2 principal submatrices.
+
+    lambda_1 is at least the largest scaled entry, 1, and at least the top
+    eigenvalue of the submatrix on a level m at the top of the diagonal and
+    any level b, which exceeds the diagonal entry at m by c_m c_b / (Delta_b
+    / 2 + sqrt(Delta_b^2 / 4 + c_m c_b)).  Without that bound a tiny c_m
+    puts a near-pole just below nu = 0, and Newton would climb from it by
+    doubling its step.
+    """
+    m = int(delta.argmin())
+    half = 0.5 * delta
+    # c_m c_b is at most 1 for b != m, as the square of a scaled entry; the
+    # floor in the denominator keeps an underflowed c_m c_b against a zero
+    # gap from being 0 / 0, and only lowers the bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = c[m] * c
+        pair = coupling / (half + np.sqrt(half * half + coupling) + _WEIGHT_FLOOR)
+    pair[m] = 0.0
+    return max(1.0 - top, float(pair.max()))
+
+
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of the zero-bias transfer matrix, from its secular equation.
+    """Dominant eigenpair of the transfer matrix at any bias, from its secular equation.
 
     Returns (log lambda_1, v) with v the unit, entrywise positive dominant
-    eigenvector.  With x_a = -beta J(a), write lambda_1 = exp(x_max) - 1 + mu
-    and Delta_a = exp(x_max) - exp(x_a) >= 0; then mu is the root in [1, q]
-    of sum_a 1 / (mu + Delta_a) = 1 and v_a is proportional to
-    1 / (mu + Delta_a).  Delta is formed as exp(x_max + log(1 - exp(x_a -
-    x_max))), exactly 0 on levels tied at the maximum, so a tie never
+    eigenvector.  M = exp(t) (diag(exp(z) - c) + s s^T) with c = s^2 (see
+    :func:`_rank_one`).  Measured from the largest scaled diagonal entry,
+    lambda_1 = exp(t) (exp(z_max) + nu) with nu >= 0 the root of
+    sum_a c_a / (nu + Delta_a + c_a) = 1, where Delta_a = exp(z_max) -
+    exp(z_a) >= 0, and v_a is proportional to s_a / (nu + Delta_a + c_a).
+    Every denominator is a sum of non-negative terms, so nothing cancels
+    however large a weight is against lambda_1.  Newton
+    (:func:`_secular_root`) starts from the lower bound of
+    :func:`_lower_bound`, where the sum is at least 1; lambda_1 is at least
+    every diagonal entry, so a root that rounding puts below 0 is 0.
+
+    At zero bias s_a = 1 and t = 0, and the solve is written for mu = nu + 1
+    instead: lambda_1 = exp(x_max) - 1 + mu with x_a = -beta J(a), mu is the
+    root in [1, q] of sum_a 1 / (mu + Delta_a) = 1, and Newton starts at
+    the number of levels tied at x_max.  Delta is formed as exp(x_max +
+    log(1 - exp(x_a - x_max))), exactly 0 on tied levels, so a tie never
     multiplies an overflowed exp(x_max) by zero; an entry that overflows to
-    inf simply drops out of the sum.  Newton's method runs on the reciprocal
-    h(mu) = 1 / sum_a w_a, w_a = 1 / (mu + Delta_a), whose root h = 1 is the
-    same (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the step is
-    (S1 - 1) S1 / S2 with S1 = sum w and S2 = sum w^2.  h is a scaled
-    harmonic mean of the mu + Delta_a, so it is concave and increasing, and
-    Newton from mu = (number of tied levels), where h <= 1, increases
-    monotonically to the root without overshooting, and being nearly linear
-    it needs only a few steps.  Raises
-    :class:`ConvergenceError` if it has not settled within a fixed step cap.
+    inf simply drops out of the sum.
     """
     if params.field != 0.0:
-        raise ValueError("the dominant solve is taken at zero external bias (field = 0)")
+        t, z, c = _rank_one(params)
+        _require_finite(c)
+        z_max, delta, _ = _secular_start(z)
+        top = math.exp(z_max)
+        nu = max(_secular_root(delta, _lower_bound(delta, c, top), c), 0.0)
+        v = np.sqrt(c) / (nu + delta + c)
+        return t + math.log(top + nu), v / float(np.linalg.norm(v))
     with np.errstate(over="ignore"):
         x = -params.beta * np.asarray(params.couplings.values)
     _require_finite(x)
     x_max, delta, mu = _secular_start(x)
-    x_max, mu = float(x_max), float(mu)
-    for _ in range(_NEWTON_CAP):
-        w = 1.0 / (mu + delta)
-        s1 = float(w.sum())
-        step = (s1 - 1.0) * s1 / float(w @ w)
-        mu += step
-        if step <= _NEWTON_RTOL * mu:
-            break
-    else:
-        raise _unsettled(step)
+    x_max = float(x_max)
+    mu = _secular_root(delta, float(mu))
     w = 1.0 / (mu + delta)
     log_value = float(np.logaddexp(x_max, math.log(mu - 1.0))) if mu > 1.0 else x_max
     return log_value, w / float(np.linalg.norm(w))
@@ -215,23 +317,65 @@ def investment_lanes(x: np.ndarray, levels) -> np.ndarray:
     return np.minimum(np.maximum(l, lev[0]), lev[-1])
 
 
-def log_partition_function(params: ModelParams, n_sites: int) -> float:
-    """log Z_N computed from the full transfer-matrix spectrum.
+def _rest_negligible(q: int, bound: float, top: float, n_sites: int) -> bool:
+    """(q - 1) (bound / top)^N < 2^-53, computed in logs; false if either is not finite."""
+    if bound == 0.0:
+        return True
+    excess = math.log(q - 1) + n_sites * (math.log(bound) - math.log(top))
+    return excess < _LOG_NEGLIGIBLE
 
-    Z_N = sum_i lambda_i^N; the sum runs in log space with explicit sign
-    bookkeeping so that negative eigenvalues raised to odd N subtract.
+
+def log_partition_function(params: ModelParams, n_sites: int) -> float:
+    """log Z_N of the ring, Z_N = Tr M^N = sum_i lambda_i^N.
+
+    M = exp(t) (diag(e) + s s^T) is a rank-one update of a diagonal matrix
+    (see :func:`_rank_one`), so by eigenvalue interlacing (Golub, SIAM Rev.
+    15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978) every
+    eigenvalue but the dominant one is at most B = max_a |e_a| in size, and
+    Z_N = lambda_1^N (1 + r) with |r| <= (q - 1) (B / lambda_1)^N.  When
+    that is below 2^-53, log Z_N = N log lambda_1 to rounding, with
+    lambda_1 from the secular solve of :func:`dominant_eigenvalue`; an O(q)
+    test against the largest row sum, which bounds lambda_1 from above,
+    skips that solve when it cannot succeed.
+
+    Otherwise Z_N comes from the full spectrum of the scaled matrix
+    (``numpy.linalg.eigvalsh``), summed in log space with explicit sign
+    bookkeeping so that negative eigenvalues raised to odd N subtract.  Each
+    eigenvalue carries an error of about one rounding of the largest, which
+    its N-th power multiplies by N; when that, summed over the terms and
+    set against their signed sum, exceeds 1e-10 max(1, |log Z_N|),
+    :class:`ConvergenceError` reports the lost digits.
     """
     if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
         raise ValueError("n_sites must be a positive integer")
+    t, z, c = _rank_one(params)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(z) - c
+        s = np.sqrt(c)
+        bound = float(np.abs(e).max())
+        row_max = float((e + s * s.sum()).max())
+    if _rest_negligible(params.q, bound, row_max, n_sites):
+        log_top, _ = dominant_eigenvalue(params)
+        if _rest_negligible(params.q, bound, math.exp(log_top - t), n_sites):
+            return n_sites * log_top
     matrix = build_matrix(params)
     lam = np.linalg.eigvalsh(matrix.entries)
     lam = lam[lam != 0.0]
     logs = n_sites * np.log(np.abs(lam))
     signs = np.where((lam < 0.0) & (n_sites % 2 == 1), -1.0, 1.0)
     shift = float(logs.max())
-    total = float(np.sum(signs * np.exp(logs - shift)))
+    terms = np.exp(logs - shift)
+    total = float(np.sum(signs * terms))
     if total <= 0.0:
         raise ConvergenceError(
             "partition sum lost all precision to cancellation", residual=total
         )
-    return n_sites * matrix.log_scale + shift + math.log(total)
+    log_z = n_sites * matrix.log_scale + shift + math.log(total)
+    error = _SPECTRUM_ERROR * n_sites * float(terms.sum()) / total
+    if error > _LOG_Z_RTOL * max(1.0, abs(log_z)):
+        raise ConvergenceError(
+            f"partition sum lost digits to cancellation: log Z_N = {log_z!r} "
+            f"is uncertain by about {error:.1e}",
+            residual=error,
+        )
+    return log_z

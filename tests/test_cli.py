@@ -394,6 +394,10 @@ class TestExitCodes:
         assert run_cli("--q", "2", "--couplings", "1,2", "--log-grid") == 2
         assert "beta-min > 0" in capsys.readouterr().err
 
+    def test_single_point_log_grid_requires_positive_start(self, capsys):
+        assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "1", "--log-grid") == 2
+        assert "beta-min > 0" in capsys.readouterr().err
+
     def test_degenerate_grid_bounds(self):
         assert run_cli("--q", "2", "--couplings", "1,2",
                        "--beta-min", "5", "--beta-max", "5") == 2

@@ -80,6 +80,18 @@ class TestMakeProfile:
         assert a.values == b.values
         assert a.values != c.values
 
+    @pytest.mark.parametrize("q", [2, 15, 60, 200])
+    def test_batched_draws_match_the_generator(self, q):
+        # All seeds are drawn in one uint64 pass; each row must be the
+        # generator's own stream, floor(u * q) clamped to q - 1.
+        seeds = [0, -1, 2**64 - 1, 2**64 + 5]
+        rows = profiles._random_couplings(q, seeds)
+        for seed, row in zip(seeds, rows.tolist()):
+            rng = SplitMix64(seed)
+            want = [min(float(math.floor(rng.uniform() * q)), q - 1.0) for _ in range(q)]
+            assert row == want
+            assert make_profile(ProfileSpec("random", q, seed=seed)).values == tuple(want)
+
     def test_random_values_are_levels(self):
         for seed in range(1, 20):
             vals = make_profile(ProfileSpec("random", 9, seed=seed)).values

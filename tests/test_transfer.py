@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pottsinvest import (
@@ -150,9 +150,44 @@ class TestDominantEigenvalue:
         rel_gap = (values[-1] - values[-2]) / values[-1]
         assert vector == pytest.approx(np.abs(vectors[:, -1]), abs=max(1e-12, 1e-14 / rel_gap))
 
-    def test_requires_zero_bias(self):
-        with pytest.raises(ValueError, match="zero external bias"):
-            dominant_eigenvalue(params_for(2, 1.0, (1.0, -1.0), field=0.1))
+    @given(
+        q=st.integers(2, 40),
+        log_beta=st.floats(-3.0, 3.0),
+        field=st.floats(-1.0, 1.0).filter(lambda d: d != 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_eigensolver_at_any_bias(self, q, log_beta, field, seed):
+        # beta up to 1e3 with a bias makes weights s_a^2 that span hundreds
+        # of orders of magnitude, one of them far above lambda_1.
+        j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
+        p = params_for(q, 10.0**log_beta, j, field=field)
+        m = build_matrix(p)
+        values, vectors = np.linalg.eigh(m.entries)
+        value_log, vector = dominant_eigenvalue(p)
+        want = math.log(values[-1]) + m.log_scale
+        assert value_log == pytest.approx(want, abs=1e-13 * q * max(1.0, abs(want)))
+        assert (vector >= 0.0).all()
+        rel_gap = (values[-1] - values[-2]) / values[-1]
+        assert vector == pytest.approx(np.abs(vectors[:, -1]), abs=max(1e-12, 1e-14 / rel_gap))
+
+    @pytest.mark.parametrize(
+        "couplings,beta,field",
+        [
+            # One weight 3.5e9 times lambda_1: its secular term is 1 to rounding.
+            ((0.2136290402, 0.2136290402), 102.86631762851685, -0.6026588978252883),
+            # The top diagonal level carries a weight of e^-400 and the root
+            # is near e^-300, so Newton from nu = 0 would double its way up.
+            ((-0.8, 1.0, 1.0), 500.0, -0.5),
+        ],
+    )
+    def test_extreme_bias_weights_settle_fast(self, monkeypatch, couplings, beta, field):
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 4)
+        p = params_for(len(couplings), beta, couplings, field=field)
+        m = build_matrix(p)
+        value_log, _ = dominant_eigenvalue(p)
+        want = math.log(np.linalg.eigvalsh(m.entries)[-1]) + m.log_scale
+        assert value_log == pytest.approx(want, rel=1e-14)
 
     def test_settles_within_six_newton_steps_on_the_readme_grid(self, monkeypatch):
         # The README's --q 10 --profile aggressive grid needs at most 6 steps
@@ -208,6 +243,32 @@ class TestInvestmentLanes:
         with pytest.raises(ValueError, match="overflow") as info:
             transfer.investment_lanes(np.array([settled, overflow, unsettled]).T, levels)
         assert info.value.lane == 1
+
+
+def spectral_log_z(p, n):
+    """log Z_N summed from the eigvalsh spectrum, and how much its signed terms cancel."""
+    m = build_matrix(p)
+    lam = np.linalg.eigvalsh(m.entries)
+    lam = lam[lam != 0.0]
+    logs = n * np.log(np.abs(lam))
+    shift = float(logs.max())
+    terms = np.where((lam < 0.0) & (n % 2 == 1), -1.0, 1.0) * np.exp(logs - shift)
+    total = float(terms.sum())
+    if total <= 0.0:
+        return math.nan, math.inf
+    return n * m.log_scale + shift + math.log(total), float(np.abs(terms).sum()) / total
+
+
+def ring_couplings(q, seed, tie):
+    """Couplings uniform on [-2, 2], with the two lowest levels tied or near-tied on request."""
+    j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
+    if tie != "none":
+        j[0] = j.min()
+        j[1] = j[0] if tie == "tied" else j[0] + 1e-9
+    return j
+
+
+EPS = 2.0**-52
 
 
 class TestLogPartitionFunction:
@@ -302,3 +363,76 @@ class TestLogPartitionFunction:
             want = 3.0 * s + math.log(float(np.trace(e @ e @ e)))
         got = log_partition_function(params_for(q, beta, j, field=field), n)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @given(
+        q=st.integers(2, 120),
+        n=st.integers(1, 10**5),
+        field=st.floats(-1.0, 1.0),
+        beta_fraction=st.floats(0.0, 1.0),
+        tie=st.sampled_from(["none", "tied", "near-tied"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_spectrum_on_both_sides_of_the_shortcut(
+        self, q, n, field, beta_fraction, tie, seed
+    ):
+        # beta is capped so that the entries span at most e^40.
+        beta = beta_fraction * 40.0 / (4.0 + (q - 1) * abs(field))
+        p = params_for(q, beta, ring_couplings(q, seed, tie), field=field)
+        want, cancelled = spectral_log_z(p, n)
+        try:
+            got = log_partition_function(p, n)
+        except ConvergenceError:
+            # Only an odd power can cancel, and the raise must be earned:
+            # the reference's own error estimate breaks the contract.
+            assert n % 2 == 1
+            assert n * EPS * cancelled > 1e-10 * max(1.0, abs(want))
+            return
+        # The reference is good to about N roundings per unit of cancellation.
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) + 4 * n * EPS * cancelled
+
+    @given(
+        q=st.integers(2, 6),
+        n=st.integers(1, 12),
+        field=st.floats(-1.0, 1.0),
+        beta_fraction=st.floats(0.0, 1.0),
+        tie=st.sampled_from(["none", "tied", "near-tied"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration_on_small_rings(self, q, n, field, beta_fraction, tie, seed):
+        assume(q**n <= 4096)
+        beta = beta_fraction * 40.0 / (4.0 + (q - 1) * abs(field))
+        p = params_for(q, beta, ring_couplings(q, seed, tie), field=field)
+        want = math.log(partition_function_bruteforce(p, n))
+        try:
+            got = log_partition_function(p, n)
+        except ConvergenceError:
+            assert n % 2 == 1
+            return
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_long_ring_never_takes_the_full_spectrum(self, monkeypatch):
+        p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
+        want, _ = spectral_log_z(p, 2000)
+
+        def refuse(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = log_partition_function(p, 2000)
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            log_partition_function(p, 1)
+
+    @pytest.mark.parametrize(
+        "beta,field,n",
+        # Enumeration puts the spectral sums off by 4.4e-2, 1.0e-3 and 2.1e-6.
+        [(12.0, 0.0, 3), (10.0, 0.0, 3), (8.0, 0.1, 5)],
+    )
+    def test_odd_power_cancellation_raises(self, beta, field, n):
+        # M has eigenvalues close to +1 and -1, whose odd powers cancel to
+        # about exp(-beta J), leaving a few digits of log Z_N.
+        p = params_for(2, beta, (3.0, 3.0), field=field)
+        with pytest.raises(ConvergenceError, match="lost digits"):
+            log_partition_function(p, n)
