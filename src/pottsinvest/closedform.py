@@ -154,7 +154,7 @@ def investment_q3_case3(beta: float, j: float) -> float:
 
 
 def investment_at_beta_infinity(params: ModelParams) -> float:
-    """Exact limit of l(beta) as beta -> infinity, for any coupling vector.
+    """Exact limit of l(beta) as beta -> infinity at zero bias, for any coupling vector.
 
     As beta grows every secular gap Delta_a of :mod:`.transfer` tends to 0,
     1 or infinity, so the limit depends only on the sign of J_min = min J:
@@ -167,7 +167,10 @@ def investment_at_beta_infinity(params: ModelParams) -> float:
 
     Each weight multiplies a correctly rounded (fsum) level sum, so a
     symmetric case such as couplings (3, 1, 0, 2, 4) gives exactly 2.0.
+    A nonzero bias moves the limit, so ``field != 0`` raises ValueError.
     """
+    if params.field != 0.0:
+        raise ValueError(f"l(beta -> infinity) is the zero-bias law; field={params.field!r}")
     j = params.couplings.values
     lev = params.levels
     lowest = min(j)
@@ -200,12 +203,14 @@ class LimitClassification:
 
 
 def classify_limits(params: ModelParams) -> LimitClassification:
-    """Classify the beta = 0 and beta -> infinity endpoints for the given model."""
-    beta_zero = math.fsum(params.levels) / params.q
-    if params.couplings.unique_min_index() is None:
-        return LimitClassification(beta_zero=beta_zero, beta_infinity=None, unique_min=False)
+    """Classify the beta = 0 and beta -> infinity endpoints of a zero-bias model.
+
+    Raises ValueError when ``field != 0``, as :func:`investment_at_beta_infinity` does.
+    """
+    beta_infinity = investment_at_beta_infinity(params)
+    unique = params.couplings.unique_min_index() is not None
     return LimitClassification(
-        beta_zero=beta_zero,
-        beta_infinity=investment_at_beta_infinity(params),
-        unique_min=True,
+        beta_zero=math.fsum(params.levels) / params.q,
+        beta_infinity=beta_infinity if unique else None,
+        unique_min=unique,
     )

@@ -1,14 +1,14 @@
-"""Per-capita investment l(beta) of the infinite ring, and beta sweeps.
+"""Per-capita investment l(beta, D) of the infinite ring, and beta sweeps.
 
-The per-capita investment at inverse control parameter beta is
+The per-capita investment at inverse control parameter beta and bias D is
 
-    l(beta) = -(1 / beta) * (d lambda_1 / dD) / lambda_1   at D = 0,
+    l(beta, D) = -(1 / beta) * (d lambda_1 / dD) / lambda_1,
 
 with lambda_1 the dominant transfer-matrix eigenvalue.  By Hellmann-Feynman
 (Feynman, Phys. Rev. 56, 1939) the bias derivative is exact in terms of the
-unit dominant eigenvector v: l = sum_a d_a v_a^2, a convex combination of
-the levels.  That is the default path, with v from the secular equation in
-:mod:`.transfer`.
+unit dominant eigenvector v at any bias: l = sum_a d_a v_a^2, a convex
+combination of the levels.  That is the default path, with v from the
+secular equation in :mod:`.transfer`.
 
 The paper instead differentiates numerically; passing a
 :class:`StencilConfig` reproduces that as a cross-check.  Two stencils are
@@ -17,8 +17,8 @@ offered:
     two_point:   (f(xi) - f(-xi)) / (2 xi)                      error O(xi^2)
     four_point:  4/3 * two_point(xi) - 1/3 * two_point(2 xi)    error O(xi^4)
 
-Here f is log lambda_1, the log of the scaled matrix's top eigenvalue plus
-its log scale, so l = -f'(0) / beta and the true eigenvalue, which can be
+Here f(offset) is log lambda_1 at bias D + offset, from the same secular
+solve, so l = -f'(0) / beta and the true eigenvalue, which can be
 astronomically large, is never formed.
 """
 
@@ -31,7 +31,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import build_matrix, dominant_eigenvalue
+from .transfer import dominant_eigenvalue
 
 __all__ = [
     "StencilConfig",
@@ -104,32 +104,26 @@ def richardson_difference(f: Callable[[float], float], xi: float) -> float:
     )
 
 
-def _require_zero_field(params: ModelParams) -> None:
-    if params.field != 0.0:
-        raise ValueError("derivatives are taken at zero external bias (field = 0)")
-
-
 def _stencil_investment(params: ModelParams, cfg: StencilConfig) -> float:
-    """l(beta) = -(d log lambda_1 / dD) / beta by a finite difference in the bias."""
+    """l(beta, D) = -(d log lambda_1 / dD) / beta by a finite difference in the bias."""
 
     def f(offset: float) -> float:
-        m = build_matrix(replace(params, field=offset))
-        return math.log(np.linalg.eigvalsh(m.entries)[-1]) + m.log_scale
+        return dominant_eigenvalue(replace(params, field=params.field + offset))[0]
 
     diff = central_difference if cfg.order == "two_point" else richardson_difference
     return -diff(f, cfg.xi) / params.beta
 
 
 def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None) -> float:
-    """Per-capita investment l(beta) of the infinite ring at zero bias.
+    """Per-capita investment l(beta, D) of the infinite ring at the model's bias D.
 
     beta = 0 is exact: every configuration is equally likely, so the value
     is the plain mean of the levels, (q - 1) / 2 for the default levels.
     For beta > 0 the value is sum_a d_a v_a^2 over the dominant eigenvector,
     clamped to [d_0, d_{q-1}] against rounding; an explicit ``cfg`` takes
-    the paper's finite-difference route instead, unclamped.
+    the paper's finite-difference route instead, unclamped.  A bias so
+    strong that a secular weight overflows raises ValueError.
     """
-    _require_zero_field(params)
     if params.beta == 0.0:
         return math.fsum(params.levels) / params.q
     if cfg is not None:

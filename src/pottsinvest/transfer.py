@@ -15,13 +15,15 @@ At any bias M = diag(e) + s s^T with s_a = exp(-beta D d_a / 2) and e_a =
 s_a^2 (exp(-beta J(a)) - 1), a rank-one update of a diagonal matrix, so its
 dominant eigenpair is the largest root of a scalar secular equation with
 weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
-itself; :func:`investment_lanes` runs the zero-bias solve on many coupling
-vectors at once, as the lanes (columns) of a level-major (q, n) block whose
-every step and sum is elementwise across lanes.  By interlacing, every
-other eigenvalue is at most max_a |e_a| in size, so once N is long enough
-log Z_N = N log lambda_1 to rounding; shorter rings take the full spectrum
-from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the
-rescaled matrix.
+itself.  That one solve gives l(beta, D) and the bias stencil of
+:mod:`.derivatives` at any bias, and log Z_N on long rings;
+:func:`investment_lanes` runs the zero-bias solve on many coupling vectors
+at once, as the lanes (columns) of a level-major (q, n) block whose every
+step and sum is elementwise across lanes.  By interlacing, every other
+eigenvalue is at most max_a |e_a| in size, so once N is long enough
+log Z_N = N log lambda_1 to rounding; only shorter rings build the
+rescaled matrix and take its full spectrum from LAPACK's symmetric
+eigensolver (``numpy.linalg.eigvalsh``).
 """
 
 from __future__ import annotations
@@ -199,20 +201,42 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     lambda_1 is at least the largest scaled entry, 1, and at least the top
     eigenvalue of the submatrix on a level m at the top of the diagonal and
     any level b, which exceeds the diagonal entry at m by c_m c_b / (Delta_b
-    / 2 + sqrt(Delta_b^2 / 4 + c_m c_b)).  Without that bound a tiny c_m
-    puts a near-pole just below nu = 0, and Newton would climb from it by
-    doubling its step.
+    / 2 + sqrt(Delta_b^2 / 4 + c_m c_b)), and by s_m s_b on a tie.  Without
+    that bound a tiny c_m puts a near-pole just below nu = 0, and Newton
+    would climb from it by doubling its step.
     """
     m = int(delta.argmin())
     half = 0.5 * delta
-    # c_m c_b is at most 1 for b != m, as the square of a scaled entry; the
-    # floor in the denominator keeps an underflowed c_m c_b against a zero
-    # gap from being 0 / 0, and only lowers the bound.
+    root = np.sqrt(c)
+    # c_m c_b is at most 1 for b != m, as the square of a scaled entry.  It
+    # underflows once both weights are below about 1e-154, where a tie's
+    # s_m s_b, at least the weight floor, still bounds nu.
     with np.errstate(over="ignore", invalid="ignore"):
         coupling = c[m] * c
-        pair = coupling / (half + np.sqrt(half * half + coupling) + _WEIGHT_FLOOR)
+        pair = np.where(
+            delta == 0.0, root[m] * root, coupling / (half + np.sqrt(half * half + coupling))
+        )
     pair[m] = 0.0
     return max(1.0 - top, float(pair.max()))
+
+
+def _weighted_root(t: float, z: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """log lambda_1, the root nu and the gaps Delta of M = exp(t) (diag(exp(z) - c) + s s^T).
+
+    Measured from the largest scaled diagonal entry, lambda_1 = exp(t)
+    (exp(z_max) + nu) with nu >= 0 the root of sum_a c_a / (nu + Delta_a +
+    c_a) = 1, where Delta_a = exp(z_max) - exp(z_a) >= 0.  Every denominator
+    is a sum of non-negative terms, so nothing cancels however large a
+    weight is against lambda_1.  Newton (:func:`_secular_root`) starts from
+    the lower bound of :func:`_lower_bound`, where the sum is at least 1;
+    lambda_1 is at least every diagonal entry, so a root that rounding puts
+    below 0 is 0.
+    """
+    _require_finite(c)
+    z_max, delta, _ = _secular_start(z)
+    top = math.exp(z_max)
+    nu = max(_secular_root(delta, _lower_bound(delta, c, top), c), 0.0)
+    return t + math.log(top + nu), nu, delta
 
 
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
@@ -220,15 +244,8 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
 
     Returns (log lambda_1, v) with v the unit, entrywise positive dominant
     eigenvector.  M = exp(t) (diag(exp(z) - c) + s s^T) with c = s^2 (see
-    :func:`_rank_one`).  Measured from the largest scaled diagonal entry,
-    lambda_1 = exp(t) (exp(z_max) + nu) with nu >= 0 the root of
-    sum_a c_a / (nu + Delta_a + c_a) = 1, where Delta_a = exp(z_max) -
-    exp(z_a) >= 0, and v_a is proportional to s_a / (nu + Delta_a + c_a).
-    Every denominator is a sum of non-negative terms, so nothing cancels
-    however large a weight is against lambda_1.  Newton
-    (:func:`_secular_root`) starts from the lower bound of
-    :func:`_lower_bound`, where the sum is at least 1; lambda_1 is at least
-    every diagonal entry, so a root that rounding puts below 0 is 0.
+    :func:`_rank_one`), lambda_1 comes from :func:`_weighted_root`, and v_a
+    is proportional to s_a / (nu + Delta_a + c_a).
 
     At zero bias s_a = 1 and t = 0, and the solve is written for mu = nu + 1
     instead: lambda_1 = exp(x_max) - 1 + mu with x_a = -beta J(a), mu is the
@@ -240,12 +257,9 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     """
     if params.field != 0.0:
         t, z, c = _rank_one(params)
-        _require_finite(c)
-        z_max, delta, _ = _secular_start(z)
-        top = math.exp(z_max)
-        nu = max(_secular_root(delta, _lower_bound(delta, c, top), c), 0.0)
+        log_top, nu, delta = _weighted_root(t, z, c)
         v = np.sqrt(c) / (nu + delta + c)
-        return t + math.log(top + nu), v / float(np.linalg.norm(v))
+        return log_top, v / float(np.linalg.norm(v))
     with np.errstate(over="ignore"):
         x = -params.beta * np.asarray(params.couplings.values)
     _require_finite(x)
@@ -334,9 +348,10 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     eigenvalue but the dominant one is at most B = max_a |e_a| in size, and
     Z_N = lambda_1^N (1 + r) with |r| <= (q - 1) (B / lambda_1)^N.  When
     that is below 2^-53, log Z_N = N log lambda_1 to rounding, with
-    lambda_1 from the secular solve of :func:`dominant_eigenvalue`; an O(q)
-    test against the largest row sum, which bounds lambda_1 from above,
-    skips that solve when it cannot succeed.
+    lambda_1 from the weighted secular solve (:func:`_weighted_root`) on
+    the same decomposition, at any bias; an O(q) test against the largest
+    row sum, which bounds lambda_1 from above, skips that solve when it
+    cannot succeed.
 
     Otherwise Z_N comes from the full spectrum of the scaled matrix
     (``numpy.linalg.eigvalsh``), summed in log space with explicit sign
@@ -355,7 +370,7 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
         bound = float(np.abs(e).max())
         row_max = float((e + s * s.sum()).max())
     if _rest_negligible(params.q, bound, row_max, n_sites):
-        log_top, _ = dominant_eigenvalue(params)
+        log_top, _, _ = _weighted_root(t, z, c)
         if _rest_negligible(params.q, bound, math.exp(log_top - t), n_sites):
             return n_sites * log_top
     matrix = build_matrix(params)

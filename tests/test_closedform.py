@@ -248,3 +248,14 @@ class TestInvestmentAtBetaInfinity:
         q = len(j)
         far = per_capita_investment(ModelParams(q=q, beta=60.0, couplings=CouplingProfile(j)))
         assert abs(limit_of(j) - far) <= 1e-14 * (q - 1)
+
+    @pytest.mark.parametrize("field,far_value", [(5.0, 7.2e-66), (-5.0, 1.0)])
+    def test_refuses_a_biased_model(self, field, far_value):
+        # The law is the zero-bias one: couplings (1, 2) give 0.5 there, but
+        # a bias of +-5 drives l(beta = 50) to the bottom or the top level.
+        p = ModelParams(q=2, beta=50.0, couplings=CouplingProfile((1.0, 2.0)), field=field)
+        assert per_capita_investment(p) == pytest.approx(far_value, rel=1e-2)
+        with pytest.raises(ValueError, match="zero-bias law"):
+            investment_at_beta_infinity(p)
+        with pytest.raises(ValueError, match="zero-bias law"):
+            classify_limits(p)

@@ -21,6 +21,7 @@ from pottsinvest import (
     investment_q3_case1,
     investment_q3_case2,
     investment_q3_case3,
+    log_partition_function,
     per_capita_investment,
     richardson_difference,
     sweep_curve,
@@ -107,10 +108,15 @@ class TestEigenDerivative:
 
         assert richardson_difference(f, StencilConfig().xi) == 0.0
 
-    def test_requires_zero_bias(self):
-        p = params_for(2, 1.0, (1.0, -1.0), field=0.5)
-        with pytest.raises(ValueError, match="zero external bias"):
-            per_capita_investment(p, StencilConfig(order="two_point"))
+    def test_needs_no_dense_eigensolver(self, monkeypatch):
+        # Each stencil point's log lambda_1 comes from the secular solve.
+        def refuse(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        p = params_for(2, 1.0, (1.0, -1.0))
+        want = analytic_investment_q2(1.0, 1.0, -1.0)
+        assert per_capita_investment(p, StencilConfig()) == pytest.approx(want, abs=1e-10)
 
     def test_log_difference_matches_shared_scale_ratio(self):
         # The paper's form: difference lambda_1 itself, every matrix rescaled
@@ -184,11 +190,6 @@ class TestPerCapitaInvestment:
         at_half = per_capita_investment(p, StencilConfig(xi=5e-5))
         assert abs(at_xi - at_half) <= 1e-8
 
-    def test_requires_zero_bias(self):
-        p = params_for(2, 1.0, (1.0, -1.0), field=0.1)
-        with pytest.raises(ValueError, match="zero external bias"):
-            per_capita_investment(p)
-
     @pytest.mark.parametrize(
         "q,couplings,closed",
         [
@@ -258,6 +259,112 @@ class TestExactProperties:
         q = len(couplings)
         l = per_capita_investment(params_for(q, beta, couplings))
         assert abs(l - (q - 1) / 2) <= 1e-12 * q
+
+
+class TestBiasedInvestment:
+    """l(beta, D) = sum_a d_a v_a^2 at nonzero bias, ties included."""
+
+    # A rounding of one entry turns a dominant eigenvector by about 2^-52
+    # over the relative spectral gap (Davis-Kahan).  Near a tie, or where the
+    # bias makes two levels cross, l is only as good as that, so errors are
+    # weighted down by the gap below 0.1.  At couplings (0, 0, -2, 0, -2),
+    # beta = 10 and D = 5e-231 the gap is 4.1e-9 and eigh's l is 1.1e-7 off;
+    # at (-1, 0, 0, 0, -1) and gap 9.1e-5 it is 4.9e-12 off, and l is exact
+    # to 7e-57 against a 60-digit reference.
+
+    @given(
+        couplings=st.lists(coupling_values, min_size=2, max_size=40),
+        log_beta=st.floats(-3.0, 3.0),
+        field=st.floats(-1.0, 1.0).filter(lambda d: d != 0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_hellmann_feynman(self, couplings, log_beta, field):
+        q = len(couplings)
+        p = params_for(q, 10.0**log_beta, couplings, field=field)
+        values, vectors = np.linalg.eigh(build_matrix(p).entries)
+        v = vectors[:, -1]
+        want = float(np.dot(p.levels, v * v))
+        gap = (values[-1] - values[-2]) / values[-1]
+        err = abs(per_capita_investment(p) - want)
+        assert err * min(1.0, gap / 0.1) <= 1e-14 * (q - 1)
+
+    @given(couplings=integer_couplings, beta=beta_values, field=st.floats(-1.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_within_level_bounds(self, couplings, beta, field):
+        q = len(couplings)
+        l = per_capita_investment(params_for(q, beta, couplings, field=field))
+        assert 0.0 <= l <= q - 1
+
+    @given(couplings=integer_couplings, beta=beta_values, field=st.floats(-1.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_mirror_identity(self, couplings, beta, field):
+        # Mirroring the levels reverses the couplings and the bias's sign.  A
+        # level that the bias ties with another, such as levels 0 and 4 of
+        # (-1, 0, 0, 0, -3) at D = 1/2, stays tied in one rounding of the
+        # diagonal exponents but not in the mirrored one, so the gap weighs
+        # the error as above.
+        q = len(couplings)
+        p = params_for(q, beta, couplings, field=field)
+        forward = per_capita_investment(p)
+        mirrored = per_capita_investment(params_for(q, beta, couplings[::-1], field=-field))
+        values = np.linalg.eigvalsh(build_matrix(p).entries)
+        gap = (values[-1] - values[-2]) / values[-1]
+        assert abs(forward + mirrored - (q - 1)) * min(1.0, gap / 0.1) <= 1e-12 * (q - 1)
+
+    @given(
+        couplings=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=10),
+        beta=st.floats(0.01, 30.0),
+        field=st.floats(-1.0, 1.0).filter(lambda d: d != 0.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stencil_matches_hellmann_feynman(self, couplings, beta, field):
+        q = len(couplings)
+        p = params_for(q, beta, couplings, field=field)
+        cfg = StencilConfig()
+        err = abs(per_capita_investment(p, cfg) - per_capita_investment(p))
+        # The stencil's truncation error grows as r^4 with r = xi beta (q - 1)
+        # / gap, the largest shift of a diagonal exponent against the relative
+        # spectral gap.  Near a tie or a crossing that is the method's own
+        # error (2.3e-4 at gap 1.1e-2, beta = 17.7, q = 8, D = 0.73, with
+        # eigvalsh in place of the secular solve too), so it is weighted down
+        # once r exceeds 1e-2.
+        values = np.linalg.eigvalsh(build_matrix(p).entries)
+        gap = (values[-1] - values[-2]) / values[-1]
+        assert err * min(1.0, gap / (1e2 * cfg.xi * beta * (q - 1))) ** 4 <= 1e-7
+
+    @pytest.mark.parametrize("couplings,field", [((-2.0, -1.0), -1.0), ((-1.0, -2.0), 1.0)])
+    def test_bias_tie_with_underflowing_weights_splits_evenly(self, couplings, field):
+        p = params_for(2, 249.0, couplings, field=field)
+        assert per_capita_investment(p) == pytest.approx(0.5, abs=1e-15)
+
+    def test_sweep_is_per_point_calls(self):
+        p = params_for(10, 0.0, [-float(k + 1) for k in range(10)], field=0.4)
+        betas = np.linspace(0.0, 10.0, 50)
+        curve = sweep_curve(p, betas)
+        want = tuple((float(b), per_capita_investment(replace(p, beta=float(b)))) for b in betas)
+        assert curve.points == want
+        assert curve.params_snapshot.field == 0.4
+
+
+class TestExtremeBias:
+    """A bias that overflows a secular weight fails loudly; log Z falls back."""
+
+    # Level 1's weight, e^750 after scaling by the largest entry, overflows.
+    P = params_for(2, 1000.0, (0.0, 1.0), field=-1.5)
+
+    def test_investment_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            per_capita_investment(self.P)
+
+    def test_sweep_names_the_beta(self):
+        with pytest.raises(SweepError) as info:
+            sweep_curve(self.P, [1.0, 1000.0])
+        assert info.value.beta == 1000.0
+        assert "beta=1000.0" in str(info.value)
+
+    def test_log_partition_function_takes_the_full_spectrum(self):
+        # Tr M^2 = 1 + 2 e^1500 + e^1000.
+        assert log_partition_function(self.P, 2) == pytest.approx(1500.0 + math.log(2.0), rel=1e-15)
 
 
 class TestSweepCurve:

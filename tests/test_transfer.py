@@ -179,6 +179,10 @@ class TestDominantEigenvalue:
             # The top diagonal level carries a weight of e^-400 and the root
             # is near e^-300, so Newton from nu = 0 would double its way up.
             ((-0.8, 1.0, 1.0), 500.0, -0.5),
+            # The bias ties both diagonal entries, and the weights e^-498 and
+            # e^-249 multiply to an underflow, so only the tie's bound
+            # s_0 s_1 = e^-373.5 keeps Newton from climbing from 0 by doubling.
+            ((-2.0, -1.0), 249.0, -1.0),
         ],
     )
     def test_extreme_bias_weights_settle_fast(self, monkeypatch, couplings, beta, field):
@@ -424,6 +428,22 @@ class TestLogPartitionFunction:
         assert got == pytest.approx(want, rel=1e-12)
         with pytest.raises(AssertionError, match="eigvalsh called"):
             log_partition_function(p, 1)
+
+    def test_shortcut_decomposes_the_matrix_once(self, monkeypatch):
+        calls = []
+        rank_one = transfer._rank_one
+
+        def counted(params):
+            calls.append(params)
+            return rank_one(params)
+
+        def refuse(params):
+            raise AssertionError("build_matrix called")
+
+        monkeypatch.setattr(transfer, "_rank_one", counted)
+        monkeypatch.setattr(transfer, "build_matrix", refuse)
+        log_partition_function(params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3), 2000)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "beta,field,n",
