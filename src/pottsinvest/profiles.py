@@ -20,10 +20,10 @@ transition per draw is:
 and uniform() maps the top 53 bits to [0, 1) as (output >> 11) / 2**53.
 
 An ensemble sweep lays every (seed, beta) point out as one lane (column) of
-a level-major block of exponents -beta J and solves the lanes together with
-:func:`.transfer.investment_lanes`, a bounded block at a time.  Lanes never
-mix in an operation, so each seed's curve is bitwise the one it would have
-if swept alone.
+a level-major block of exponent gaps -beta (J - J_min) and solves the lanes
+together with :func:`.transfer.investment_lanes`, a bounded block at a
+time.  Lanes never mix in an operation, so each seed's curve is bitwise the
+one it would have if swept alone.
 """
 
 from __future__ import annotations
@@ -193,19 +193,21 @@ def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
     skip = 1 if grid[0] == 0.0 else 0
     out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
     neg_beta = -np.asarray(grid[skip:])
+    j_min = couplings.min(axis=1, keepdims=True)
     # A block is a rectangle of seeds x betas holding at most _BLOCK
     # exponents.  It spans several seeds only when it holds their whole
     # grids, so blocks run seed by seed, beta by beta.
     width = max(1, min(len(neg_beta), _BLOCK // q))
     height = max(1, _BLOCK // (q * width))
     for s0 in range(0, len(seeds), height):
-        j = couplings[s0 : s0 + height].T[:, :, None]
+        j = (couplings[s0 : s0 + height] - j_min[s0 : s0 + height]).T[:, :, None]
         for b0 in range(0, len(neg_beta), width):
             b = neg_beta[b0 : b0 + width]
             with np.errstate(over="ignore"):
-                x = np.multiply(b, j, order="C").reshape(q, -1)
+                dx = np.multiply(b, j, order="C").reshape(q, -1)
+                x_max = np.multiply(b, j_min[s0 : s0 + height]).reshape(-1)
             try:
-                l = investment_lanes(x, levels)
+                l = investment_lanes(dx, x_max, levels)
             except (ValueError, ConvergenceError) as exc:
                 seed, beta = divmod(exc.lane, len(b))
                 raise SweepError(grid[skip + b0 + beta], exc, seed=seeds[s0 + seed]) from exc

@@ -21,9 +21,8 @@ itself.  That one solve gives l(beta, D) and the bias stencil of
 at once, as the lanes (columns) of a level-major (q, n) block whose every
 step and sum is elementwise across lanes.  By interlacing, every other
 eigenvalue is at most max_a |e_a| in size, so once N is long enough
-log Z_N = N log lambda_1 to rounding; only shorter rings build the
-rescaled matrix and take its full spectrum from LAPACK's symmetric
-eigensolver (``numpy.linalg.eigvalsh``).
+log Z_N = N log lambda_1 to rounding; shorter rings take Tr M^N of the
+positive rescaled matrix by binary powering, where nothing cancels.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ _NEWTON_RTOL = 1e-14
 # log Z_N = N log lambda_1 to rounding.
 _LOG_NEGLIGIBLE = -53.0 * math.log(2.0)
 
-# Relative error of each eigenvalue from eigvalsh, in units of the largest,
-# and the accuracy log Z_N must keep on the spectral path.
-_SPECTRUM_ERROR = 2.0**-52
-_LOG_Z_RTOL = 1e-10
-
 # Smallest bias weight s_a^2 the secular solve uses; far below the rounding
 # of any scaled entry, it keeps every weight, and so every secular term
 # and derivative, finite and nonzero.
@@ -67,7 +61,7 @@ _WEIGHT_FLOOR = 1e-300
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations; carries the last residual."""
+    """A solver ran out of iterations or of precision; carries the last residual."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -109,23 +103,20 @@ def _require_finite(x: np.ndarray) -> None:
         raise ValueError(_OVERFLOW)
 
 
-def _secular_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maxima, gaps Delta and Newton starts along the first (level) axis of exponents x.
+def _secular_start(dx: np.ndarray, x_max) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps Delta and Newton starts along the first (level) axis of exponents x_max + dx, dx <= 0.
 
-    Delta_a = exp(x_max + log(1 - exp(x_a - x_max))) is exactly 0 on levels
-    tied at the maximum, where the logarithm is -inf, and inf where it
-    overflows; the start is the number of zero gaps.  Delta is formed in place
-    in one buffer.  Gaps of a lane with a non-finite exponent mean nothing;
-    callers reject such lanes.
+    Delta_a = exp(x_max + log(-expm1(dx_a))), formed in place in dx, is 0 on
+    tied levels and inf where it overflows; the start is the number of zero
+    gaps.  dx formed as -beta (J(a) - J_min) keeps the split of a near-tie.
+    Gaps of a lane with a non-finite exponent mean nothing; callers reject it.
     """
-    x_max = x.max(axis=0, keepdims=True)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        delta = np.subtract(x, x_max, dtype=float)
-        np.expm1(delta, out=delta)
+        delta = np.expm1(dx, out=dx)
         np.negative(delta, out=delta)
         np.log(delta, out=delta)
         np.exp(np.add(delta, x_max, out=delta), out=delta)
-    return x_max[0], delta, (delta == 0.0).sum(axis=0, dtype=float)
+    return delta, (delta == 0.0).sum(axis=0, dtype=float)
 
 
 def _unsettled(residual: float) -> ConvergenceError:
@@ -134,27 +125,34 @@ def _unsettled(residual: float) -> ConvergenceError:
     )
 
 
-def _rank_one(params: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """Scale t, log diagonal z and weights c with M = exp(t) (diag(exp(z) - c) + s s^T), c = s^2.
+def _rank_one(params: ModelParams) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """t, z_max, dz and c = s^2 with M = exp(t) (diag(exp(z_max + dz) - c) + s s^T).
 
     With y_a = -beta D d_a and x_a = -beta J(a), M[a][b] = exp((y_a + y_b) / 2
-    + x_a [a == b]), so z_a = x_a + y_a - t and c_a = exp(y_a - t), all in
-    O(q).  t is the largest exponent of any entry, on the diagonal or between
-    the two most weighted levels (y is monotone in the level), so the largest
-    scaled entry is exactly 1.  A weight below ``_WEIGHT_FLOOR`` is raised to
-    it.  One weight can exceed 1; it overflows to inf only when beta |D|
-    times the step between the two end levels exceeds about 1400.
+    + x_a [a == b]), so the log diagonal is z = x + y - t and c = exp(y - t),
+    all in O(q).  t is the largest exponent of any entry, on the diagonal or
+    between the two most weighted levels (y is monotone in the level), so
+    the largest scaled entry is exactly 1.  m is the level of least g_a =
+    (J(a) - J(k)) + D (d_a - d_k), k at the top of the rounded z, and dz_a =
+    -beta (g_a - g_m) <= 0, so an ulp split keeps its sign.  Weights below
+    ``_WEIGHT_FLOOR`` are raised to it; one can exceed 1, and overflows only
+    when beta |D| times the end levels' step passes 1400.
     """
+    j, lev = np.array(params.couplings.values), np.array(params.levels)
     bias = -(params.beta * params.field)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.array(params.levels) * bias
-        z = y - params.beta * np.array(params.couplings.values)
+        y = lev * bias
+        z = y - params.beta * j
         t = max(float(z.max()), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
         c = np.exp(y - t)
         np.maximum(c, _WEIGHT_FLOOR, out=c)
         z -= t
+        k = int(z.argmax())
+        g = (j - j[k]) + params.field * (lev - lev[k])
+        m = int(g.argmin())
+        dz = -params.beta * (g - g[m])
     _require_finite(z)
-    return t, z, c
+    return t, float(z[m]), dz, c
 
 
 def _secular_root(delta: np.ndarray, mu: float, c: np.ndarray | None = None) -> float:
@@ -220,51 +218,50 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     return max(1.0 - top, float(pair.max()))
 
 
-def _weighted_root(t: float, z: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """log lambda_1, the root nu and the gaps Delta of M = exp(t) (diag(exp(z) - c) + s s^T).
+def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """log(lambda_1) - t, the root nu and the gaps Delta, for the parts of :func:`_rank_one`.
 
-    Measured from the largest scaled diagonal entry, lambda_1 = exp(t)
-    (exp(z_max) + nu) with nu >= 0 the root of sum_a c_a / (nu + Delta_a +
-    c_a) = 1, where Delta_a = exp(z_max) - exp(z_a) >= 0.  Every denominator
-    is a sum of non-negative terms, so nothing cancels however large a
-    weight is against lambda_1.  Newton (:func:`_secular_root`) starts from
-    the lower bound of :func:`_lower_bound`, where the sum is at least 1;
-    lambda_1 is at least every diagonal entry, so a root that rounding puts
-    below 0 is 0.
+    lambda_1 = exp(t) (exp(z_max) + nu), with nu >= 0 the root of sum_a c_a
+    / (nu + Delta_a + c_a) = 1 and Delta_a = exp(z_max) (1 - exp(dz_a)).
+    Every denominator is a sum of non-negative terms, so nothing cancels
+    however large a weight is against lambda_1.  Newton (:func:`_secular_root`)
+    starts from the lower bound of :func:`_lower_bound`, where the sum is at
+    least 1; lambda_1 is at least every diagonal entry, so a root that
+    rounding puts below 0 is 0.
     """
     _require_finite(c)
-    z_max, delta, _ = _secular_start(z)
+    delta, _ = _secular_start(dz, z_max)
     top = math.exp(z_max)
     nu = max(_secular_root(delta, _lower_bound(delta, c, top), c), 0.0)
-    return t + math.log(top + nu), nu, delta
+    return math.log(top + nu), nu, delta
 
 
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of the transfer matrix at any bias, from its secular equation.
 
     Returns (log lambda_1, v) with v the unit, entrywise positive dominant
-    eigenvector.  M = exp(t) (diag(exp(z) - c) + s s^T) with c = s^2 (see
+    eigenvector.  M = exp(t) (diag(exp(z_max + dz) - c) + s s^T) (see
     :func:`_rank_one`), lambda_1 comes from :func:`_weighted_root`, and v_a
     is proportional to s_a / (nu + Delta_a + c_a).
 
     At zero bias s_a = 1 and t = 0, and the solve is written for mu = nu + 1
     instead: lambda_1 = exp(x_max) - 1 + mu with x_a = -beta J(a), mu is the
     root in [1, q] of sum_a 1 / (mu + Delta_a) = 1, and Newton starts at
-    the number of levels tied at x_max.  Delta is formed as exp(x_max +
-    log(1 - exp(x_a - x_max))), exactly 0 on tied levels, so a tie never
-    multiplies an overflowed exp(x_max) by zero; an entry that overflows to
-    inf simply drops out of the sum.
+    the number of levels tied at x_max.  Delta is exactly 0 on tied levels
+    (:func:`_secular_start`), and an entry that overflows to inf drops out.
     """
     if params.field != 0.0:
-        t, z, c = _rank_one(params)
-        log_top, nu, delta = _weighted_root(t, z, c)
+        t, z_max, dz, c = _rank_one(params)
+        log_top, nu, delta = _weighted_root(z_max, dz, c)
         v = np.sqrt(c) / (nu + delta + c)
-        return log_top, v / float(np.linalg.norm(v))
-    with np.errstate(over="ignore"):
-        x = -params.beta * np.asarray(params.couplings.values)
-    _require_finite(x)
-    x_max, delta, mu = _secular_start(x)
-    x_max = float(x_max)
+        return t + log_top, v / float(np.linalg.norm(v))
+    j = np.asarray(params.couplings.values)
+    j_min = j.min()
+    x_max = -params.beta * float(j_min)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = -params.beta * (j - j_min)
+        _require_finite(dx + x_max)
+    delta, mu = _secular_start(dx, x_max)
     mu = _secular_root(delta, float(mu))
     w = 1.0 / (mu + delta)
     log_value = float(np.logaddexp(x_max, math.log(mu - 1.0))) if mu > 1.0 else x_max
@@ -287,25 +284,27 @@ def _level_sum(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def investment_lanes(x: np.ndarray, levels) -> np.ndarray:
-    """Per-capita investment l for every lane (column) of exponents x (q, n), x_a = -beta J(a).
+def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
+    """Per-capita investment l for every lane (column) of exponents x_max + dx, dx (q, n) <= 0.
 
-    Each lane is solved as :func:`dominant_eigenvalue` solves one coupling
-    vector: the same gaps, start, Newton steps on the concave reciprocal
-    1 / sum_a w_a, and cap.  Every step runs on the whole block; a lane whose
-    step has settled gets steps of exactly 0 from then on, so it takes
-    exactly the steps it would take alone.  Then l = sum_a d_a w_a^2 /
-    sum_a w_a^2 with w_a = 1 / (mu + Delta_a), clamped to [d_0, d_{q-1}].
-    Every sum over levels is :func:`_level_sum`, so each lane's bits are
-    the same alone, in any block and in any memory layout.
+    dx_a = -beta (J(a) - J_min), which is overwritten, and x_max = -beta
+    J_min keep near-ties exact.  Each lane is solved as
+    :func:`dominant_eigenvalue` solves one coupling vector: the same gaps,
+    start, Newton steps on the concave reciprocal 1 / sum_a w_a, and cap.
+    Every step runs on the whole block; a lane whose step has settled gets
+    steps of exactly 0 from then on, so it takes exactly the steps it would
+    take alone.  Then l = sum_a d_a w_a^2 / sum_a w_a^2 with w_a = 1 / (mu +
+    Delta_a), clamped to [d_0, d_{q-1}].  Every sum over levels is
+    :func:`_level_sum`, so each lane's bits are the same alone, in any
+    block and in any memory layout.
 
     A lane with a non-finite exponent raises ValueError, and a lane still
     moving after the step cap raises :class:`ConvergenceError`; the
     exception's ``lane`` attribute is the lowest such lane.
     """
     lev = np.asarray(levels, dtype=float)
-    finite = np.isfinite(x).all(axis=0)
-    _, delta, mu = _secular_start(x)
+    finite = np.isfinite(dx).all(axis=0) & np.isfinite(x_max)
+    delta, mu = _secular_start(dx, x_max)
     w, ww = np.empty_like(delta), np.empty_like(delta)
     moving = finite.copy()
     for _ in range(_NEWTON_CAP):
@@ -339,6 +338,26 @@ def _rest_negligible(q: int, bound: float, top: float, n_sites: int) -> bool:
     return excess < _LOG_NEGLIGIBLE
 
 
+def _log_trace_power(a: np.ndarray, n: int) -> float:
+    """log Tr a^n of a symmetric, entrywise non-negative matrix a, by binary powering.
+
+    p = a^(n // 2) is built bit by bit, each product divided by its largest
+    entry, whose log joins p's scale; every sum adds non-negative terms, so
+    nothing cancels.  Tr a^n is sum(p * p) >= 1, or sum(p * (p @ a)) for odd
+    n, which raises ConvergenceError below the smallest normal double (beta
+    times the entry span past about 708): its terms then have few bits.
+    """
+    p, log_p = a, 0.0
+    for bit in bin(n // 2)[3:]:
+        p = p @ p @ a if bit == "1" else p @ p
+        top = float(p.max())
+        p, log_p = p / top, 2.0 * log_p + math.log(top)
+    trace = float(np.trace(a) if n == 1 else np.vdot(p, p @ a if n % 2 else p))
+    if trace < np.finfo(float).tiny:
+        raise ConvergenceError("Tr M^N underflows; reduce beta*J or beta*D", residual=trace)
+    return 2.0 * log_p + math.log(trace)
+
+
 def log_partition_function(params: ModelParams, n_sites: int) -> float:
     """log Z_N of the ring, Z_N = Tr M^N = sum_i lambda_i^N.
 
@@ -353,44 +372,22 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     row sum, which bounds lambda_1 from above, skips that solve when it
     cannot succeed.
 
-    Otherwise Z_N comes from the full spectrum of the scaled matrix
-    (``numpy.linalg.eigvalsh``), summed in log space with explicit sign
-    bookkeeping so that negative eigenvalues raised to odd N subtract.  Each
-    eigenvalue carries an error of about one rounding of the largest, which
-    its N-th power multiplies by N; when that, summed over the terms and
-    set against their signed sum, exceeds 1e-10 max(1, |log Z_N|),
-    :class:`ConvergenceError` reports the lost digits.
+    Otherwise Z_N comes from :func:`_log_trace_power` on the entrywise
+    positive rescaled matrix, so odd rings whose eigenvalues of both signs
+    cancel in sum_i lambda_i^N lose no digits; only a trace that underflows
+    below the smallest normal double raises :class:`ConvergenceError`.
     """
     if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
         raise ValueError("n_sites must be a positive integer")
-    t, z, c = _rank_one(params)
+    t, z_max, dz, c = _rank_one(params)
     with np.errstate(invalid="ignore"):
-        e = np.exp(z) - c
+        e = np.exp(z_max + dz) - c
         s = np.sqrt(c)
         bound = float(np.abs(e).max())
         row_max = float((e + s * s.sum()).max())
     if _rest_negligible(params.q, bound, row_max, n_sites):
-        log_top, _, _ = _weighted_root(t, z, c)
-        if _rest_negligible(params.q, bound, math.exp(log_top - t), n_sites):
-            return n_sites * log_top
+        log_top, _, _ = _weighted_root(z_max, dz, c)
+        if _rest_negligible(params.q, bound, math.exp(log_top), n_sites):
+            return n_sites * (t + log_top)
     matrix = build_matrix(params)
-    lam = np.linalg.eigvalsh(matrix.entries)
-    lam = lam[lam != 0.0]
-    logs = n_sites * np.log(np.abs(lam))
-    signs = np.where((lam < 0.0) & (n_sites % 2 == 1), -1.0, 1.0)
-    shift = float(logs.max())
-    terms = np.exp(logs - shift)
-    total = float(np.sum(signs * terms))
-    if total <= 0.0:
-        raise ConvergenceError(
-            "partition sum lost all precision to cancellation", residual=total
-        )
-    log_z = n_sites * matrix.log_scale + shift + math.log(total)
-    error = _SPECTRUM_ERROR * n_sites * float(terms.sum()) / total
-    if error > _LOG_Z_RTOL * max(1.0, abs(log_z)):
-        raise ConvergenceError(
-            f"partition sum lost digits to cancellation: log Z_N = {log_z!r} "
-            f"is uncertain by about {error:.1e}",
-            residual=error,
-        )
-    return log_z
+    return n_sites * matrix.log_scale + _log_trace_power(matrix.entries, n_sites)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from pottsinvest import (
     per_capita_investment,
     richardson_difference,
     sweep_curve,
+    transfer,
 )
 
 
@@ -215,7 +217,7 @@ class TestPerCapitaInvestment:
     def test_near_tied_minimum(self):
         # The 1e-9 split gives level 1 a gap of about 9.7 at beta = 20.
         p = params_for(3, 20.0, (-1.0, -1.0 + 1e-9, 0.0))
-        assert per_capita_investment(p) == pytest.approx(0.010294029868283, abs=1e-12)
+        assert per_capita_investment(p) == pytest.approx(0.010294028538905504, abs=1e-12)
 
     def test_rounding_is_clamped_to_the_level_range(self, monkeypatch):
         # Weight on the top level alone can round the ratio past d_{q-1}:
@@ -259,6 +261,104 @@ class TestExactProperties:
         q = len(couplings)
         l = per_capita_investment(params_for(q, beta, couplings))
         assert abs(l - (q - 1) / 2) <= 1e-12 * q
+
+
+def secular_oracle(params):
+    """l(beta, D) from the secular equation in decimal arithmetic on the exact float inputs.
+
+    M = diag(e) + s s^T with c_a = s_a^2 = exp(-beta D d_a) and e_a =
+    exp(-beta (J(a) + D d_a)) - c_a, so lambda_1 = e_max + nu with nu > 0
+    the root of sum_a c_a / (nu + Delta_a) = 1, Delta_a = e_max - e_a, and
+    l = sum_a d_a c_a w_a^2 / sum_a c_a w_a^2 with w_a = 1 / (nu + Delta_a).
+    Newton runs on the reciprocal of the sum from nu = c_m, where Delta_m =
+    0 and the sum is at least 1, so it climbs to the root from below.  Every
+    float converts to Decimal exactly, and 40 digits plus the entries'
+    exponent span in decades keep each gap Delta_a to far more digits than
+    a float holds, however close e_a is to e_max.
+    """
+    y_float = -params.beta * params.field * np.array(params.levels)
+    x_float = y_float - params.beta * np.array(params.couplings.values)
+    span = max(x_float.max(), y_float.max()) - min(x_float.min(), y_float.min())
+    beta, field = Decimal(params.beta), Decimal(params.field)
+    levels = [Decimal(v) for v in params.levels]
+    with localcontext() as ctx:
+        ctx.prec = 40 + int(span / math.log(10.0))
+        y = [-beta * field * d for d in levels]
+        x = [ya - beta * Decimal(j) for ya, j in zip(y, params.couplings.values)]
+        c = [ya.exp() for ya in y]
+        e = [xa.exp() - ca for xa, ca in zip(x, c)]
+        e_max = max(e)
+        delta = [e_max - ea for ea in e]
+        nu = c[delta.index(0)]
+        tol = Decimal(10) ** (10 - ctx.prec)
+        for _ in range(1000):
+            w = [1 / (nu + da) for da in delta]
+            s1 = sum(ca * wa for ca, wa in zip(c, w))
+            s2 = sum(ca * wa * wa for ca, wa in zip(c, w))
+            step = (s1 - 1) * s1 / s2
+            nu += step
+            if step <= tol * nu:
+                break
+        else:
+            raise AssertionError("decimal Newton did not settle")
+        weights = [ca / (nu + da) ** 2 for ca, da in zip(c, delta)]
+        return float(sum(d * wa for d, wa in zip(levels, weights)) / sum(weights))
+
+
+class TestNearTiedMinima:
+    """l against the decimal oracle where the coupling minimum is tied or split by a hair."""
+
+    @pytest.mark.parametrize(
+        "couplings,beta,want",
+        # The exact values for these float inputs; forming the gaps from
+        # fl(-beta J) gave 0.02012107892487049 for the first.
+        [
+            ((-3.0, -2.999999999999999, 0.0), 11.5, 0.010047055874300236),
+            ((-1.0, -1.0 + 1e-9, 0.0), 20.0, 0.010294028538905504),
+        ],
+    )
+    def test_oracle_reproduces_the_exact_values(self, couplings, beta, want):
+        assert secular_oracle(params_for(3, beta, couplings)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("field", [0.0, 1e-300])
+    def test_an_ulp_split_whose_exponents_round_to_a_tie(self, field):
+        # -beta J rounds the two least couplings, an ulp apart, to one
+        # float.  The lesser, level 1, still holds the top diagonal entry
+        # alone, so l = 1 to far below rounding; taking level 0 as the top
+        # and its neighbour as tied to it gave l = 0.5 at D = 1e-300.
+        a, beta = -1.8158535541215322, 50.41077502552221
+        b = math.nextafter(a, math.inf)
+        assert -beta * a == -beta * b
+        p = params_for(3, beta, (b, a, 0.0), field=field)
+        want = secular_oracle(p)
+        assert want == pytest.approx(1.0, abs=1e-15)
+        assert abs(per_capita_investment(p) - want) <= 1e-14 * 2
+
+    @given(
+        couplings=st.lists(coupling_values, min_size=2, max_size=24),
+        decades=st.floats(6.0, 15.0),
+        below=st.booleans(),
+        beta=st.floats(0.1, 200.0),
+        field=st.sampled_from([0.0, 1e-300]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_decimal_oracle(self, couplings, decades, below, beta, field, data):
+        # Zero bias takes the unweighted solve and D = 1e-300 the weighted
+        # one; the block kernel gets the gaps -beta (J - J_min) that
+        # ensemble sweeps pass it.
+        q, couplings = len(couplings), list(couplings)
+        m = int(np.argmin(couplings))
+        k = (m + data.draw(st.integers(1, q - 1))) % q
+        couplings[k] = couplings[m] + (-1.0 if below else 1.0) * 10.0**-decades
+        p = params_for(q, beta, couplings, field=field)
+        want = secular_oracle(p)
+        assert abs(per_capita_investment(p) - want) <= 1e-14 * (q - 1)
+        j = np.array(couplings)
+        lane = transfer.investment_lanes(
+            -beta * (j - j.min())[:, None], np.array([-beta * j.min()]), p.levels
+        )
+        assert abs(float(lane[0]) - want) <= 1e-14 * (q - 1)
 
 
 class TestBiasedInvestment:

@@ -225,9 +225,9 @@ class TestBatchedEnsemble:
         q, seeds, grid = 60, (1, 2), np.linspace(0.0, 10.0, 2000).tolist()
         sizes = []
 
-        def solve(x, levels):
-            sizes.append(x.size)
-            return transfer.investment_lanes(x, levels)
+        def solve(dx, x_max, levels):
+            sizes.append(dx.size)
+            return transfer.investment_lanes(dx, x_max, levels)
 
         monkeypatch.setattr(profiles, "investment_lanes", solve)
         split = ensemble_sweep(q, seeds, grid)

@@ -213,39 +213,54 @@ class TestInvestmentLanes:
     def test_tied_minima_stay_exact(self):
         j = np.array([[-1.0], [-1.0], [0.0]])
         x = -j * np.array([40.0, 1000.0])
-        assert transfer.investment_lanes(x, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
+        top = x.max(axis=0)
+        assert transfer.investment_lanes(x - top, top, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("q", [8, 9, 15, 60])
     def test_bits_do_not_depend_on_block_or_layout(self, q):
         # Random-profile exponents -beta J, as ensemble_sweep lays them out.
+        # investment_lanes overwrites the gaps, so each call gets fresh ones.
         rng = np.random.default_rng(q)
         x = -rng.integers(0, q, (q, 1000)) * rng.uniform(0.01, 10.0, 1000)
+        top = x.max(axis=0)
+        dx = x - top
         levels = tuple(float(a) for a in range(q))
-        want = transfer.investment_lanes(x, levels).tobytes()
+        want = transfer.investment_lanes(dx.copy(), top, levels).tobytes()
         for n in (1, 2, 3):
-            views = [x[:, i : i + n] for i in range(0, 1000, n)]
-            for blocks in (views, [np.ascontiguousarray(v) for v in views]):
-                lanes = [transfer.investment_lanes(b, levels) for b in blocks]
+            spans = range(0, 1000, n)
+            fresh = dx.copy()
+            views = [fresh[:, i : i + n] for i in spans]
+            for blocks in (views, [np.ascontiguousarray(dx[:, i : i + n]) for i in spans]):
+                lanes = [
+                    transfer.investment_lanes(b, top[i : i + n], levels)
+                    for b, i in zip(blocks, spans)
+                ]
                 assert np.concatenate(lanes).tobytes() == want
         for layout in (
-            np.asfortranarray(x),
-            np.ascontiguousarray(x.T).T,  # the lane-major (n, q) array, viewed level-major
-            np.stack([x, x], axis=-1)[..., 0],  # strided in both axes
+            np.asfortranarray(dx),
+            np.ascontiguousarray(dx.T).T,  # the lane-major (n, q) array, viewed level-major
+            np.stack([dx, dx], axis=-1)[..., 0],  # strided in both axes
         ):
-            assert transfer.investment_lanes(layout, levels).tobytes() == want
+            assert transfer.investment_lanes(layout, top, levels).tobytes() == want
 
     def test_failure_names_the_lowest_failing_lane(self, monkeypatch):
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 1)
-        settled = [0.0, 0.0]  # all levels tied: the first step is exactly 0
-        unsettled = [-1.0, 1.0]  # the q = 2 root near 1.37 takes several steps
-        overflow = [math.inf, 0.0]
+        # (gaps, lane maximum) per lane
+        settled = ([0.0, 0.0], 0.0)  # all levels tied: the first step is exactly 0
+        unsettled = ([-2.0, 0.0], 1.0)  # the q = 2 root near 1.37 takes several steps
+        overflow = ([0.0, 0.0], math.inf)
         levels = (0.0, 1.0)
+
+        def solve(*lanes):
+            dx, x_max = zip(*lanes)
+            return transfer.investment_lanes(np.array(dx).T, np.array(x_max), levels)
+
         with pytest.raises(ConvergenceError) as info:
-            transfer.investment_lanes(np.array([settled, unsettled, overflow]).T, levels)
+            solve(settled, unsettled, overflow)
         assert info.value.lane == 1
         assert info.value.residual > 0.0
         with pytest.raises(ValueError, match="overflow") as info:
-            transfer.investment_lanes(np.array([settled, overflow, unsettled]).T, levels)
+            solve(settled, overflow, unsettled)
         assert info.value.lane == 1
 
 
@@ -316,26 +331,6 @@ class TestLogPartitionFunction:
         with pytest.raises(ValueError):
             log_partition_function(p, True)
 
-    def test_drops_exact_zero_eigenvalues(self, monkeypatch):
-        # An exact zero would put log(0) into the log-sum-exp; it adds
-        # nothing to Z_N and is dropped before the logarithm is taken.
-        p = params_for(2, 0.8, (0.3, -0.4), field=0.2)
-        scale = build_matrix(p).log_scale
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.0, 0.5, 1.0]))
-        with np.errstate(all="raise"):
-            got = log_partition_function(p, 3)
-        assert got == pytest.approx(3 * scale + math.log(1.125), rel=1e-13)
-
-    def test_cancelled_sum_raises(self, monkeypatch):
-        # At odd N a spectrum of +x and -x sums to zero, which has no log.
-        p = params_for(2, 0.8, (0.3, -0.4), field=0.2)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([-0.5, 0.5]))
-        with pytest.raises(ConvergenceError, match="cancellation"):
-            log_partition_function(p, 3)
-        assert log_partition_function(p, 2) == pytest.approx(
-            2 * build_matrix(p).log_scale + math.log(0.5), rel=1e-13
-        )
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     @given(
         q=st.integers(2, 300),
@@ -384,14 +379,7 @@ class TestLogPartitionFunction:
         beta = beta_fraction * 40.0 / (4.0 + (q - 1) * abs(field))
         p = params_for(q, beta, ring_couplings(q, seed, tie), field=field)
         want, cancelled = spectral_log_z(p, n)
-        try:
-            got = log_partition_function(p, n)
-        except ConvergenceError:
-            # Only an odd power can cancel, and the raise must be earned:
-            # the reference's own error estimate breaks the contract.
-            assert n % 2 == 1
-            assert n * EPS * cancelled > 1e-10 * max(1.0, abs(want))
-            return
+        got = log_partition_function(p, n)
         # The reference is good to about N roundings per unit of cancellation.
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) + 4 * n * EPS * cancelled
 
@@ -409,24 +397,39 @@ class TestLogPartitionFunction:
         beta = beta_fraction * 40.0 / (4.0 + (q - 1) * abs(field))
         p = params_for(q, beta, ring_couplings(q, seed, tie), field=field)
         want = math.log(partition_function_bruteforce(p, n))
-        try:
-            got = log_partition_function(p, n)
-        except ConvergenceError:
-            assert n % 2 == 1
-            return
+        got = log_partition_function(p, n)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @given(
+        q=st.integers(2, 4),
+        half=st.integers(0, 5),
+        field=st.floats(-0.3, 0.3),
+        beta=st.floats(0.0, 13.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_odd_contrarian_rings_match_enumeration(self, q, half, field, beta, seed):
+        # Contrarian agents (J > 0) on an odd ring: M has eigenvalues of both
+        # signs whose odd powers cancel in sum_i lambda_i^N, but not in
+        # Tr M^N of the positive matrix.
+        n = 2 * half + 1
+        assume(q**n <= 4096)
+        j = np.random.default_rng(seed).uniform(0.5, 3.0, q)
+        p = params_for(q, beta, j, field=field)
+        want = math.log(partition_function_bruteforce(p, n))
+        assert abs(log_partition_function(p, n) - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_long_ring_never_takes_the_full_spectrum(self, monkeypatch):
         p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
         want, _ = spectral_log_z(p, 2000)
 
-        def refuse(a):
-            raise AssertionError("eigvalsh called")
+        def refuse(a, n):
+            raise AssertionError("powering called")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(transfer, "_log_trace_power", refuse)
         got = log_partition_function(p, 2000)
         assert got == pytest.approx(want, rel=1e-12)
-        with pytest.raises(AssertionError, match="eigvalsh called"):
+        with pytest.raises(AssertionError, match="powering called"):
             log_partition_function(p, 1)
 
     def test_shortcut_decomposes_the_matrix_once(self, monkeypatch):
@@ -445,14 +448,31 @@ class TestLogPartitionFunction:
         log_partition_function(params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3), 2000)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize(
-        "beta,field,n",
-        # Enumeration puts the spectral sums off by 4.4e-2, 1.0e-3 and 2.1e-6.
-        [(12.0, 0.0, 3), (10.0, 0.0, 3), (8.0, 0.1, 5)],
-    )
-    def test_odd_power_cancellation_raises(self, beta, field, n):
+    @pytest.mark.parametrize("beta,field,n", [(12.0, 0.0, 3), (10.0, 0.0, 3), (8.0, 0.1, 5)])
+    def test_odd_power_matches_enumeration(self, beta, field, n):
         # M has eigenvalues close to +1 and -1, whose odd powers cancel to
-        # about exp(-beta J), leaving a few digits of log Z_N.
+        # about exp(-beta J) in sum_i lambda_i^N: eigvalsh kept only a few
+        # digits of log Z_N here.
         p = params_for(2, beta, (3.0, 3.0), field=field)
-        with pytest.raises(ConvergenceError, match="lost digits"):
-            log_partition_function(p, n)
+        want = math.log(partition_function_bruteforce(p, n))
+        assert log_partition_function(p, n) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [100.0, 200.0])
+    def test_odd_contrarian_ring_far_below_rounding(self, beta):
+        # Z_3 = Tr M^3 = 2 e^(-9 beta) + 6 e^(-3 beta) for couplings (3, 3):
+        # the sum over eigenvalues 1 + e^(-3 beta) and -(1 - e^(-3 beta))
+        # keeps none of it.
+        p = params_for(2, beta, (3.0, 3.0))
+        want = float(np.logaddexp(math.log(2.0) - 9.0 * beta, math.log(6.0) - 3.0 * beta))
+        assert log_partition_function(p, 3) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [247.0, 248.0, 300.0])
+    def test_underflowed_trace_raises(self, beta):
+        # Tr M^3 of the scaled matrix is carried by the diagonal e^(-3 beta)
+        # against the off-diagonal 1.  At beta = 247 that is subnormal with
+        # about 5 bits, and log Z_3 would be 1e-2 off; at 248 it rounds to
+        # twice the least subnormal, 0.25 off; at 300 it flushes to 0.
+        p = params_for(2, beta, (3.0, 3.0))
+        with pytest.raises(ConvergenceError, match="underflow"):
+            log_partition_function(p, 3)
+        assert log_partition_function(p, 2) == pytest.approx(math.log(2.0), rel=1e-15)
