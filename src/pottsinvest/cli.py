@@ -231,13 +231,6 @@ def _resolve_couplings(args: argparse.Namespace) -> CouplingProfile:
     return make_profile(ProfileSpec(kind=args.profile, q=args.q))
 
 
-def _make_params(args: argparse.Namespace, couplings: CouplingProfile) -> ModelParams:
-    try:
-        return ModelParams(q=args.q, beta=0.0, couplings=couplings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _limit_lines(params: ModelParams, seed: int | None = None) -> list[str]:
     info = classify_limits(params)
     tag = "" if seed is None else f"seed {seed}: "
@@ -271,8 +264,7 @@ def _curve_rows(curve: InvestmentCurve, betas: list[str], suffix: str = "") -> l
 
 
 def _run_single(args: argparse.Namespace, grid: list[float]) -> int:
-    couplings = _resolve_couplings(args)
-    params = _make_params(args, couplings)
+    params = ModelParams(args.q, 0.0, _resolve_couplings(args))
     curve = sweep_curve(params, grid)
     lines = ["beta,l"]
     lines.extend(_curve_rows(curve, [repr(b) for b, _ in curve.points]))
@@ -291,7 +283,7 @@ def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> int:
     lines.extend(_curve_rows(ensemble.mean_curve, betas, ",mean"))
     if args.emit_limits:
         first = ensemble.curves[0].params_snapshot
-        lines.append(f"# investment_at_beta_zero = {sum(first.levels) / args.q!r}")
+        lines.append(f"# investment_at_beta_zero = {classify_limits(first).beta_zero!r}")
         for seed, curve in zip(ensemble.seeds, ensemble.curves):
             lines.extend(_limit_lines(curve.params_snapshot, seed=seed))
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -320,7 +312,7 @@ def _closed_form_for(args: argparse.Namespace, couplings: CouplingProfile):
 def _run_compare(args: argparse.Namespace, grid: list[float]) -> int:
     couplings = _resolve_couplings(args)
     closed = _closed_form_for(args, couplings)
-    params = _make_params(args, couplings)
+    params = ModelParams(args.q, 0.0, couplings)
     curve = sweep_curve(params, grid)
     lines = ["beta,l_numeric,l_closed_form,abs_error"]
     max_err = 0.0

@@ -5,9 +5,11 @@ transfer-matrix eigenvalue is an explicit radical, so the investment curve
 
     l(beta) = -(1 / beta) * (d lambda_1 / dD) / lambda_1   at D = 0
 
-has an exact expression.  Each formula below is evaluated in terms of
-exp(-beta * |J|) factors only, which keeps every intermediate bounded and
-the result finite for beta * |J| up to around 700 regardless of sign.
+has an exact expression.  Each formula below is evaluated in exp(-beta J)
+and 1, both divided by m = max(exp(-beta J), 1), the scaling that
+:func:`investment_q2` applies to its two couplings.  The scaled values lie
+in [0, 1] and are formed from their exponents, so none overflows whatever
+the sign of J, and one expression covers both signs.
 
 The large-beta endpoints of the two non-trivial q = 3 curves are exposed as
 exact constants rather than numerical limits, and
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from .model import ModelParams
 
 __all__ = [
-    "SQRT12",
     "Q3_CASE1_POSITIVE_J_LIMIT",
     "Q3_CASE3_POSITIVE_J_LIMIT",
     "LimitClassification",
@@ -58,6 +59,18 @@ def _check_coupling(j: float) -> float:
     return j
 
 
+def _scaled(beta: float, *couplings: float) -> list[float]:
+    """exp(-beta J) for each coupling, then 1, each divided by m, the largest of them.
+
+    Formed from the exponents, so every value lies in [0, 1] and none
+    overflows; the largest is exactly 1, even when beta J overflows.
+    """
+    beta = _check_beta(beta)
+    logs = [-beta * _check_coupling(j) for j in couplings] + [0.0]
+    top = max(logs)
+    return [math.exp(v - top) if v < top else 1.0 for v in logs]
+
+
 def investment_q2(beta: float, j0: float, j1: float) -> float:
     """Exact q = 2 curve for arbitrary couplings (j0, j1), levels (0, 1).
 
@@ -69,30 +82,11 @@ def investment_q2(beta: float, j0: float, j1: float) -> float:
     exceeds exp(beta * max(|j0|, |j1|)).  Equal couplings give exactly 1/2
     at every beta.  The value always lies in [0, 1].
     """
-    beta = _check_beta(beta)
-    j0 = _check_coupling(j0)
-    j1 = _check_coupling(j1)
-    lu = -beta * j0
-    lv = -beta * j1
-    lm = max(lu, lv, 0.0)
-    a = math.exp(lu - lm)
-    b = math.exp(lv - lm)
-    inv_m = math.exp(-lm)
+    a, b, inv_m = _scaled(beta, j0, j1)
     r = math.hypot(a - b, 2.0 * inv_m)
     num = b + (b * (b - a) + 2.0 * inv_m * inv_m) / r
     den = a + b + r
     return min(1.0, max(0.0, num / den))
-
-
-def _q3_kernel(beta: float, j: float, direct, reciprocal) -> float:
-    """Evaluate a q = 3 radical formula on whichever side of j = 0 is bounded."""
-    beta = _check_beta(beta)
-    j = _check_coupling(j)
-    if j >= 0.0:
-        x = math.exp(-beta * j)  # in (0, 1]
-        return direct(x)
-    t = math.exp(beta * j)  # exp(-beta |j|), in (0, 1)
-    return reciprocal(t)
 
 
 def investment_q3_case1(beta: float, j: float) -> float:
@@ -103,22 +97,15 @@ def investment_q3_case1(beta: float, j: float) -> float:
         l = [1 + 2x + (12 - 5x + 2x^2) / sqrt(12 - 4x + x^2)]
             / [2 + x + sqrt(12 - 4x + x^2)]
 
-    For j < 0 the same expression is evaluated in t = 1/x to stay bounded.
-    Starts at 1, tends to 2 for j < 0 and to (1 + sqrt 12) / (2 + sqrt 12)
-    for j > 0.  The value always lies in [0, 2].
+    evaluated in a = x / m and i = 1 / m with m = max(x, 1), as
+    [i + 2a + (12i^2 - 5ai + 2a^2) / r] / [2i + a + r] with
+    r = sqrt(12i^2 - 4ai + a^2).  Starts at 1, tends to 2 for j < 0 and to
+    (1 + sqrt 12) / (2 + sqrt 12) for j > 0.  The value always lies in [0, 2].
     """
-
-    def direct(x: float) -> float:
-        root = math.sqrt(12.0 - 4.0 * x + x * x)
-        num = 1.0 + 2.0 * x + (12.0 - 5.0 * x + 2.0 * x * x) / root
-        return num / (2.0 + x + root)
-
-    def reciprocal(t: float) -> float:
-        root = math.sqrt(12.0 * t * t - 4.0 * t + 1.0)
-        num = t + 2.0 + (12.0 * t * t - 5.0 * t + 2.0) / root
-        return num / (1.0 + 2.0 * t + root)
-
-    return min(2.0, max(0.0, _q3_kernel(beta, j, direct, reciprocal)))
+    a, i = _scaled(beta, j)
+    root = math.sqrt(12.0 * i * i - 4.0 * a * i + a * a)
+    num = i + 2.0 * a + (12.0 * i * i - 5.0 * a * i + 2.0 * a * a) / root
+    return min(2.0, max(0.0, num / (2.0 * i + a + root)))
 
 
 def investment_q3_case2(beta: float, j: float) -> float:
@@ -135,22 +122,15 @@ def investment_q3_case3(beta: float, j: float) -> float:
 
         l = [3 + (12 - 3x) / sqrt(12 - 4x + x^2)] / [x + 2 + sqrt(12 - 4x + x^2)]
 
-    For j < 0 the expression is evaluated in t = 1/x.  Starts at 1, tends
-    to 0 for j < 0 and to (3 + sqrt 12) / (2 + sqrt 12) for j > 0.  The
-    value always lies in [0, 2].
+    evaluated in a = x / m and i = 1 / m with m = max(x, 1), as
+    i [3 + (12i - 3a) / r] / [a + 2i + r] with r = sqrt(12i^2 - 4ai + a^2).
+    Starts at 1, tends to 0 for j < 0 and to (3 + sqrt 12) / (2 + sqrt 12)
+    for j > 0.  The value always lies in [0, 2].
     """
-
-    def direct(x: float) -> float:
-        root = math.sqrt(12.0 - 4.0 * x + x * x)
-        num = 3.0 + (12.0 - 3.0 * x) / root
-        return num / (x + 2.0 + root)
-
-    def reciprocal(t: float) -> float:
-        root = math.sqrt(12.0 * t * t - 4.0 * t + 1.0)
-        num = t * (3.0 + (12.0 * t - 3.0) / root)
-        return num / (1.0 + 2.0 * t + root)
-
-    return min(2.0, max(0.0, _q3_kernel(beta, j, direct, reciprocal)))
+    a, i = _scaled(beta, j)
+    root = math.sqrt(12.0 * i * i - 4.0 * a * i + a * a)
+    num = i * (3.0 + (12.0 * i - 3.0 * a) / root)
+    return min(2.0, max(0.0, num / (a + 2.0 * i + root)))
 
 
 def investment_at_beta_infinity(params: ModelParams) -> float:

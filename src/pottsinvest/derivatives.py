@@ -82,7 +82,6 @@ class InvestmentCurve:
     """
 
     points: tuple[tuple[float, float], ...]
-    method: Literal["closed_form", "numeric"]
     params_snapshot: ModelParams | None
     seed: int | None = None
 
@@ -164,7 +163,6 @@ def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
         points.append((b, val))
     return InvestmentCurve(
         points=tuple(points),
-        method="numeric",
         params_snapshot=replace(params_base, beta=0.0),
         seed=None,
     )

@@ -142,10 +142,6 @@ class SpinConfig:
                 raise ValueError("site values must be non-negative integers")
         object.__setattr__(self, "sites", tuple(int(s) for s in sites))
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
 
 def _check_config(config: SpinConfig, params: ModelParams) -> None:
     if any(s >= params.q for s in config.sites):

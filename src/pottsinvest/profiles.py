@@ -41,7 +41,6 @@ from .transfer import ConvergenceError, investment_lanes
 __all__ = [
     "SplitMix64",
     "ProfileSpec",
-    "SeedEnsemble",
     "make_profile",
     "ensemble_sweep",
 ]
@@ -167,17 +166,13 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     grid = _checked_grid(betas)
     values = _sweep_lanes(seeds, couplings, params[0].levels, grid).tolist()
     curves = tuple(
-        InvestmentCurve(
-            points=tuple(zip(grid, row)), method="numeric", params_snapshot=p, seed=seed
-        )
+        InvestmentCurve(points=tuple(zip(grid, row)), params_snapshot=p, seed=seed)
         for seed, p, row in zip(seeds, params, values)
     )
     mean_points = tuple(
         (b, math.fsum(column) / len(seeds)) for b, column in zip(grid, zip(*values))
     )
-    mean_curve = InvestmentCurve(
-        points=mean_points, method="numeric", params_snapshot=None, seed=None
-    )
+    mean_curve = InvestmentCurve(points=mean_points, params_snapshot=None, seed=None)
     return SeedEnsemble(
         seeds=seeds,
         curves=curves,

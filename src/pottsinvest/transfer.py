@@ -36,10 +36,8 @@ from .model import ModelParams
 
 __all__ = [
     "ConvergenceError",
-    "TransferMatrix",
     "build_matrix",
     "dominant_eigenvalue",
-    "investment_lanes",
     "log_partition_function",
 ]
 

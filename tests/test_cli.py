@@ -239,6 +239,13 @@ class TestCompareMode:
                 "--out", str(out))
         assert self.parse_max_error(out) <= 1e-7
 
+    def test_three_level_bottom_coupling(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run_cli("--q", "3", "--couplings=-1,0,0", "--compare",
+                       "--beta-min", "0.01", "--beta-max", "10.0", "--beta-count", "25",
+                       "--out", str(out)) == 0
+        assert self.parse_max_error(out) <= 1e-9
+
     def test_non_integrable_three_level_pattern(self, capsys):
         assert run_cli("--q", "3", "--couplings", "1,2,3", "--compare") == 2
         assert "no closed form" in capsys.readouterr().err
@@ -390,6 +397,10 @@ class TestExitCodes:
         assert run_cli("--q", "3", "--couplings", "1,2") == 2
         assert "expected q=3" in capsys.readouterr().err
 
+    def test_non_finite_couplings(self, capsys):
+        assert run_cli("--q", "2", "--couplings=nan,1") == 2
+        assert "coupling strengths must be finite" in capsys.readouterr().err
+
     def test_log_grid_requires_positive_start(self, capsys):
         assert run_cli("--q", "2", "--couplings", "1,2", "--log-grid") == 2
         assert "beta-min > 0" in capsys.readouterr().err
@@ -398,10 +409,13 @@ class TestExitCodes:
         assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "1", "--log-grid") == 2
         assert "beta-min > 0" in capsys.readouterr().err
 
-    def test_degenerate_grid_bounds(self):
+    def test_degenerate_grid_bounds(self, capsys):
         assert run_cli("--q", "2", "--couplings", "1,2",
                        "--beta-min", "5", "--beta-max", "5") == 2
         assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "0") == 2
+        capsys.readouterr()
+        assert run_cli("--q", "2", "--couplings", "1,2", "--beta-min", "-1") == 2
+        assert "beta-min must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",

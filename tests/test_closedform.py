@@ -55,6 +55,28 @@ def naive_q3_case3(beta, j):
     return (3.0 + (12.0 - 3.0 * x) / root) / (x + 2.0 + root)
 
 
+def two_branch_q3_case1(beta, j):
+    """Case 1 as two formulas: direct in x = e^{-beta j} for j >= 0, else in t = e^{beta j}."""
+    if j >= 0.0:
+        val = naive_q3_case1(beta, j)
+    else:
+        t = math.exp(beta * j)
+        root = math.sqrt(12.0 * t * t - 4.0 * t + 1.0)
+        val = (t + 2.0 + (12.0 * t * t - 5.0 * t + 2.0) / root) / (1.0 + 2.0 * t + root)
+    return min(2.0, max(0.0, val))
+
+
+def two_branch_q3_case3(beta, j):
+    """Case 3 as two formulas: direct in x = e^{-beta j} for j >= 0, else in t = e^{beta j}."""
+    if j >= 0.0:
+        val = naive_q3_case3(beta, j)
+    else:
+        t = math.exp(beta * j)
+        root = math.sqrt(12.0 * t * t - 4.0 * t + 1.0)
+        val = t * (3.0 + (12.0 * t - 3.0) / root) / (1.0 + 2.0 * t + root)
+    return min(2.0, max(0.0, val))
+
+
 class TestTwoLevel:
     def test_matches_direct_transcription(self):
         rng = np.random.default_rng(7)
@@ -87,6 +109,8 @@ class TestTwoLevel:
         assert investment_q2(1000.0, -1.0, 1.0) == 0.0
         assert investment_q2(1000.0, 1.0, -1.0) == 1.0
         assert math.isfinite(investment_q2(5000.0, -3.0, -2.9))
+        # beta J overflows to infinity; the favoured level still wins.
+        assert investment_q2(1e300, 0.0, -1e300) == 1.0
 
     @given(
         beta=st.floats(0.0, 100.0),
@@ -132,6 +156,7 @@ class TestThreeLevelCase1:
     def test_rewarded_top_level_saturates(self):
         assert investment_q3_case1(20.0, -1.0) >= 1.999
         assert investment_q3_case1(80.0, -1.0) == pytest.approx(2.0, abs=1e-3)
+        assert investment_q3_case1(1e300, -1e300) == 2.0
 
     def test_penalised_top_level_settles_below_one(self):
         assert investment_q3_case1(80.0, 1.0) == pytest.approx(
@@ -166,6 +191,7 @@ class TestThreeLevelCase3:
 
     def test_rewarded_bottom_level_empties(self):
         assert investment_q3_case3(80.0, -1.0) == pytest.approx(0.0, abs=1e-3)
+        assert investment_q3_case3(1e300, -1e300) == 0.0
 
     def test_penalised_bottom_level_settles_above_one(self):
         assert investment_q3_case3(80.0, 1.0) == pytest.approx(
@@ -181,6 +207,22 @@ class TestThreeLevelCase3:
         for fn in (investment_q3_case1, investment_q3_case3):
             val = fn(beta, j)
             assert 0.0 <= val <= 2.0
+
+
+class TestThreeLevelScaling:
+    @given(
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 10.0)),
+        j=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-700.0, 700.0), st.floats(-5.0, 5.0)
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_one_scaled_expression_equals_the_two_branches(self, beta, j):
+        # Scaling by m = max(e^{-beta j}, 1) gives the direct form for j >= 0
+        # and the reciprocal one for j < 0, bit for bit.  The narrow ranges
+        # keep beta |j| moderate, where rounding differences would show.
+        assert investment_q3_case1(beta, j).hex() == two_branch_q3_case1(beta, j).hex()
+        assert investment_q3_case3(beta, j).hex() == two_branch_q3_case3(beta, j).hex()
 
 
 class TestClassifyLimits:

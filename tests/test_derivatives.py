@@ -471,7 +471,6 @@ class TestSweepCurve:
     def test_single_zero_point(self):
         curve = sweep_curve(params_for(4, 0.0, range(4)), [0.0])
         assert curve.points == ((0.0, 1.5),)
-        assert curve.method == "numeric"
 
     def test_constant_case_on_log_grid(self):
         p = params_for(3, 0.0, (0.0, 2.0, 0.0))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pottsinvest
+from pottsinvest import closedform, derivatives, model, profiles, transfer
 from pottsinvest import (
     ENUMERATION_STATE_CAP,
     CouplingProfile,
@@ -228,6 +230,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             params_for(2, 1.0, (0.0, 1.0), levels=(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "q,levels,message",
+        [
+            (2.0, None, "q must be an integer"),
+            (1, None, "q >= 2"),
+            (2, (0.0, 1.0, 2.0), "length q=2"),
+            (2, (0.0, math.inf), "levels must be finite"),
+            (2, (math.nan, 1.0), "levels must be finite"),
+        ],
+        ids=["float-q", "q-one", "levels-length", "infinite-level", "nan-level"],
+    )
+    def test_rejects_malformed_q_and_levels(self, q, levels, message):
+        with pytest.raises(ValueError, match=message):
+            ModelParams(q=q, beta=1.0, couplings=(0.0, 1.0), levels=levels)
+
     def test_default_levels_are_indices(self):
         p = params_for(4, 1.0, range(4))
         assert p.levels == (0.0, 1.0, 2.0, 3.0)
@@ -239,3 +256,28 @@ class TestValidation:
     def test_spin_config_rejects_empty(self):
         with pytest.raises(ValueError):
             SpinConfig(())
+
+
+class TestPackage:
+    NAMES = {
+        "ENUMERATION_STATE_CAP", "ConvergenceError", "CouplingProfile",
+        "EnumerationCapError", "InvestmentCurve", "LimitClassification", "ModelParams",
+        "ProfileSpec", "Q3_CASE1_POSITIVE_J_LIMIT", "Q3_CASE3_POSITIVE_J_LIMIT",
+        "SpinConfig", "SplitMix64", "StencilConfig", "SweepError", "build_matrix",
+        "central_difference", "classify_limits", "dominant_eigenvalue", "ensemble_sweep",
+        "expected_investment_bruteforce", "hamiltonian", "investment_at_beta_infinity",
+        "investment_q2", "investment_q3_case1", "investment_q3_case2", "investment_q3_case3",
+        "log_partition_function", "make_profile", "partition_function_bruteforce",
+        "per_capita_investment", "richardson_difference", "sweep_curve", "total_investment",
+    }
+
+    def test_exports_exactly_the_public_names(self):
+        assert len(self.NAMES) == 33
+        assert set(pottsinvest.__all__) == self.NAMES
+
+    def test_each_name_is_its_one_module_object(self):
+        modules = [closedform, derivatives, model, profiles, transfer]
+        for name in pottsinvest.__all__:
+            owners = [m for m in modules if name in m.__all__]
+            assert len(owners) == 1, name
+            assert getattr(pottsinvest, name) is getattr(owners[0], name)
