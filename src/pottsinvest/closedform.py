@@ -80,9 +80,13 @@ def investment_q2(beta: float, j0: float, j1: float) -> float:
 
     evaluated after dividing through by m = max(u, v, 1) so no intermediate
     exceeds exp(beta * max(|j0|, |j1|)).  Equal couplings give exactly 1/2
-    at every beta.  The value always lies in [0, 1].
+    at every beta: u = v reduces l to that, and is returned as such, since
+    once beta |j0| passes about 745 the scaled 1 / m underflows and Theta
+    with it.  The value always lies in [0, 1].
     """
     a, b, inv_m = _scaled(beta, j0, j1)
+    if a == b:
+        return 0.5
     r = math.hypot(a - b, 2.0 * inv_m)
     num = b + (b * (b - a) + 2.0 * inv_m * inv_m) / r
     den = a + b + r

@@ -22,7 +22,10 @@ at once, as the lanes (columns) of a level-major (q, n) block whose every
 step and sum is elementwise across lanes.  By interlacing, every other
 eigenvalue is at most max_a |e_a| in size, so once N is long enough
 log Z_N = N log lambda_1 to rounding; shorter rings take Tr M^N of the
-positive rescaled matrix by binary powering, where nothing cancels.
+positive rescaled matrix by binary powering, where nothing cancels.  That
+matrix is formed from the same exponents as the secular solve, so log Z_N
+decomposes the matrix once on either route; :func:`build_matrix` forms it
+independently and is the oracle the tests hold both against.
 """
 
 from __future__ import annotations
@@ -101,6 +104,15 @@ def _require_finite(x: np.ndarray) -> None:
         raise ValueError(_OVERFLOW)
 
 
+def _largest(x: np.ndarray) -> float:
+    """The largest entry of a vector, nan if it holds one, as max gives it.
+
+    Read off at argmax, which on vectors of a few hundred costs a fraction
+    of numpy's max reduction.
+    """
+    return float(x[x.argmax()])
+
+
 def _secular_start(dx: np.ndarray, x_max) -> tuple[np.ndarray, np.ndarray]:
     """Gaps Delta and Newton starts along the first (level) axis of exponents x_max + dx, dx <= 0.
 
@@ -123,67 +135,58 @@ def _unsettled(residual: float) -> ConvergenceError:
     )
 
 
-def _rank_one(params: ModelParams) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """t, z_max, dz and c = s^2 with M = exp(t) (diag(exp(z_max + dz) - c) + s s^T).
+def _rank_one(
+    params: ModelParams,
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """t, z_max, dz, c = s^2, z and u with M = exp(t) (diag(exp(z_max + dz) - c) + s s^T).
 
     With y_a = -beta D d_a and x_a = -beta J(a), M[a][b] = exp((y_a + y_b) / 2
-    + x_a [a == b]), so the log diagonal is z = x + y - t and c = exp(y - t),
-    all in O(q).  t is the largest exponent of any entry, on the diagonal or
-    between the two most weighted levels (y is monotone in the level), so
-    the largest scaled entry is exactly 1.  m is the level of least g_a =
-    (J(a) - J(k)) + D (d_a - d_k), k at the top of the rounded z, and dz_a =
-    -beta (g_a - g_m) <= 0, so an ulp split keeps its sign.  Weights below
-    ``_WEIGHT_FLOOR`` are raised to it; one can exceed 1, and overflows only
-    when beta |D| times the end levels' step passes 1400.
+    + x_a [a == b]), so the log diagonal is z = x + y - t, u = y - t and c =
+    exp(u), all in O(q); exp(-t) M is exp(z_a) on the diagonal and exp((u_a
+    + u_b) / 2) off it.  t is the largest exponent of any entry, on the
+    diagonal or between the two most weighted levels (y is monotone in the
+    level), so the largest scaled entry is exactly 1.  m is the level of
+    least g_a = (J(a) - J(k)) + D (d_a - d_k), k at the top of z, z_max =
+    z_m and dz_a = -beta (g_a - g_m) <= 0, so an ulp split keeps its sign.
+    Weights below ``_WEIGHT_FLOOR`` are raised to it; one can exceed 1, and
+    overflows only when beta |D| times the end levels' step passes 1400.
+    Callers hold ``np.errstate(over="ignore", invalid="ignore")``, here and
+    around :func:`_weighted_root`: an exponent that overflows is caught by
+    the finiteness check instead.
     """
     j, lev = np.array(params.couplings.values), np.array(params.levels)
     bias = -(params.beta * params.field)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = lev * bias
-        z = y - params.beta * j
-        t = max(float(z.max()), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
-        c = np.exp(y - t)
-        np.maximum(c, _WEIGHT_FLOOR, out=c)
-        z -= t
-        k = int(z.argmax())
-        g = (j - j[k]) + params.field * (lev - lev[k])
-        m = int(g.argmin())
-        dz = -params.beta * (g - g[m])
+    y = lev * bias
+    z = y - params.beta * j
+    t = max(_largest(z), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
+    u = y - t
+    c = np.exp(u)
+    np.maximum(c, _WEIGHT_FLOOR, out=c)
+    z -= t
+    k = int(z.argmax())
+    g = (j - j[k]) + params.field * (lev - lev[k])
+    m = int(g.argmin())
+    dz = -params.beta * (g - g[m])
     _require_finite(z)
-    return t, float(z[m]), dz, c
+    return t, float(z[m]), dz, c, z, u
 
 
-def _secular_root(delta: np.ndarray, mu: float, c: np.ndarray | None = None) -> float:
-    """Root mu of the secular equation by Newton from below.
+def _secular_root(delta: np.ndarray, mu: float) -> float:
+    """Root mu of the secular equation sum_a 1 / (mu + delta_a) = 1 by Newton from below.
 
-    With unit weights (``c=None``) the equation is sum_a w_a = 1, and with
-    weights c it is sum_a c_a w_a = 1, where w_a = 1 / (mu + delta_a) or
-    1 / (mu + delta_a + c_a).  Newton runs on the reciprocal h(mu) = 1 /
-    sum_a c_a w_a, whose root h = 1 is the same (Moré & Sorensen, SIAM J.
-    Sci. Stat. Comput. 4, 1983): the step is (S1 - 1) S1 / S2 with S1 =
-    sum c w and S2 = sum c w^2.  h is a scaled weighted harmonic mean of the
-    denominators, so it is concave and increasing, and Newton from a start
-    where h <= 1 increases monotonically to the root without overshooting;
-    being nearly linear it needs only a few steps.  With weights a term
-    c_m w_m can lie so close to 1 that rounding hides how it moves with mu,
-    as when c_m is far above mu + delta_m; S1 - 1 therefore takes the
-    largest term as c_m w_m - 1 = -(mu + delta_m) w_m, which cancels
-    nothing.  Raises :class:`ConvergenceError` if it has not settled within
-    a fixed step cap.
+    Newton runs on the reciprocal h(mu) = 1 / S1 with S1 = sum_a w_a and w_a
+    = 1 / (mu + delta_a), whose root h = 1 is the same (Moré & Sorensen,
+    SIAM J. Sci. Stat. Comput. 4, 1983): the step is (S1 - 1) S1 / S2 with
+    S2 = sum w^2.  h is a scaled harmonic mean of the denominators, so it
+    is concave and increasing, and Newton from a start where h <= 1
+    increases monotonically to the root without overshooting; being nearly
+    linear it needs only a few steps.  Raises :class:`ConvergenceError` if
+    it has not settled within a fixed step cap.
     """
-    gap = delta if c is None else delta + c
     for _ in range(_NEWTON_CAP):
-        w = 1.0 / (mu + gap)
-        if c is None:
-            s1 = float(w.sum())
-            excess, s2 = s1 - 1.0, float(w @ w)
-        else:
-            cw = c * w
-            s2 = float(cw @ w)
-            m = int(cw.argmax())
-            cw[m] = -(mu + delta[m]) * w[m]
-            excess = float(cw.sum())
-            s1 = excess + 1.0
+        w = 1.0 / (mu + delta)
+        s1 = float(w.sum())
+        excess, s2 = s1 - 1.0, float(w @ w)
         step = excess * s1 / s2
         mu += step
         if step <= _NEWTON_RTOL * mu:
@@ -203,34 +206,58 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     """
     m = int(delta.argmin())
     half = 0.5 * delta
-    root = np.sqrt(c)
     # c_m c_b is at most 1 for b != m, as the square of a scaled entry.  It
     # underflows once both weights are below about 1e-154, where a tie's
-    # s_m s_b, at least the weight floor, still bounds nu.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coupling = c[m] * c
-        pair = np.where(
-            delta == 0.0, root[m] * root, coupling / (half + np.sqrt(half * half + coupling))
-        )
+    # s_m s_b, at least the weight floor, still bounds nu; only m itself
+    # has a zero gap unless levels tie.
+    coupling = c[m] * c
+    pair = coupling / (half + np.sqrt(half * half + coupling))
+    tied = delta == 0.0
+    if np.count_nonzero(tied) > 1:
+        pair = np.where(tied, math.sqrt(c[m]) * np.sqrt(c), pair)
     pair[m] = 0.0
-    return max(1.0 - top, float(pair.max()))
+    return max(1.0 - top, _largest(pair))
 
 
 def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
     """log(lambda_1) - t, the root nu and the gaps Delta, for the parts of :func:`_rank_one`.
 
     lambda_1 = exp(t) (exp(z_max) + nu), with nu >= 0 the root of sum_a c_a
-    / (nu + Delta_a + c_a) = 1 and Delta_a = exp(z_max) (1 - exp(dz_a)).
-    Every denominator is a sum of non-negative terms, so nothing cancels
-    however large a weight is against lambda_1.  Newton (:func:`_secular_root`)
-    starts from the lower bound of :func:`_lower_bound`, where the sum is at
-    least 1; lambda_1 is at least every diagonal entry, so a root that
-    rounding puts below 0 is 0.
+    / (nu + Delta_a + c_a) = 1 and Delta_a = exp(z_max) (1 - exp(dz_a)),
+    formed in place in dz; z_max <= 0, so no gap overflows.  Every
+    denominator is a sum of non-negative terms, so nothing cancels however
+    large a weight is against lambda_1.  Newton runs from the lower bound
+    of :func:`_lower_bound`, where the sum is at least 1, on the reciprocal
+    as :func:`_secular_root` does: the step is (S1 - 1) S1 / S2 with S1 =
+    sum c w and S2 = sum c w^2, w_a = 1 / (nu + Delta_a + c_a).  A term c_m
+    w_m can lie so close to 1 that rounding hides how it moves with nu, as
+    when c_m is far above nu + Delta_m; S1 - 1 therefore takes the largest
+    term as c_m w_m - 1 = -(nu + Delta_m) w_m, which cancels nothing.
+    lambda_1 is at least every diagonal entry, so a root that rounding puts
+    below 0 is 0.
     """
     _require_finite(c)
-    delta, _ = _secular_start(dz, z_max)
     top = math.exp(z_max)
-    nu = max(_secular_root(delta, _lower_bound(delta, c, top), c), 0.0)
+    delta = np.expm1(dz, out=dz)
+    np.multiply(delta, -top, out=delta)
+    nu = _lower_bound(delta, c, top)
+    gap = delta + c
+    w, cw = np.empty_like(gap), np.empty_like(gap)
+    for _ in range(_NEWTON_CAP):
+        np.divide(1.0, np.add(gap, nu, out=w), out=w)
+        np.multiply(c, w, out=cw)
+        s2 = float(cw @ w)
+        m = int(cw.argmax())
+        cw[m] = -(nu + delta[m]) * w[m]
+        excess = float(cw.sum())
+        s1 = excess + 1.0
+        step = excess * s1 / s2
+        nu += step
+        if step <= _NEWTON_RTOL * nu:
+            break
+    else:
+        raise _unsettled(step)
+    nu = max(nu, 0.0)
     return math.log(top + nu), nu, delta
 
 
@@ -249,8 +276,9 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     (:func:`_secular_start`), and an entry that overflows to inf drops out.
     """
     if params.field != 0.0:
-        t, z_max, dz, c = _rank_one(params)
-        log_top, nu, delta = _weighted_root(z_max, dz, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, z_max, dz, c, _, _ = _rank_one(params)
+            log_top, nu, delta = _weighted_root(z_max, dz, c)
         v = np.sqrt(c) / (nu + delta + c)
         return t + log_top, v / float(np.linalg.norm(v))
     j = np.asarray(params.couplings.values)
@@ -368,24 +396,33 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     lambda_1 from the weighted secular solve (:func:`_weighted_root`) on
     the same decomposition, at any bias; an O(q) test against the largest
     row sum, which bounds lambda_1 from above, skips that solve when it
-    cannot succeed.
+    cannot succeed, as it does when a weight c_a overflows.
 
-    Otherwise Z_N comes from :func:`_log_trace_power` on the entrywise
-    positive rescaled matrix, so odd rings whose eigenvalues of both signs
-    cancel in sum_i lambda_i^N lose no digits; only a trace that underflows
-    below the smallest normal double raises :class:`ConvergenceError`.
+    Otherwise Z_N comes from :func:`_log_trace_power` on exp(-t) M, formed
+    from the same exponents as exp(z_a) on the diagonal and exp((u_a +
+    u_b) / 2) off it, never as s_a s_b, which overflows where the matrix
+    does not; :func:`build_matrix` is not called and remains the oracle the
+    tests check this against.  The matrix is entrywise positive, so odd
+    rings whose eigenvalues of both signs cancel in sum_i lambda_i^N lose
+    no digits; only a trace that underflows below the smallest normal
+    double raises :class:`ConvergenceError`.
     """
     if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
         raise ValueError("n_sites must be a positive integer")
-    t, z_max, dz, c = _rank_one(params)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(z_max + dz) - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, z_max, dz, c, z, u = _rank_one(params)
+        diag = np.exp(z)
+        e = diag - c
         s = np.sqrt(c)
-        bound = float(np.abs(e).max())
-        row_max = float((e + s * s.sum()).max())
-    if _rest_negligible(params.q, bound, row_max, n_sites):
-        log_top, _, _ = _weighted_root(z_max, dz, c)
-        if _rest_negligible(params.q, bound, math.exp(log_top), n_sites):
-            return n_sites * (t + log_top)
-    matrix = build_matrix(params)
-    return n_sites * matrix.log_scale + _log_trace_power(matrix.entries, n_sites)
+        bound = _largest(np.abs(e))
+        row_max = _largest(e + s * s.sum())
+        if _rest_negligible(params.q, bound, row_max, n_sites):
+            log_top, _, _ = _weighted_root(z_max, dz, c)
+            if _rest_negligible(params.q, bound, math.exp(log_top), n_sites):
+                return n_sites * (t + log_top)
+        # The diagonal of the outer sum is u_a, which can overflow exp
+        # where the diagonal exponent z_a does not; it is overwritten.
+        u *= 0.5
+        a = np.exp(np.add.outer(u, u))
+    np.fill_diagonal(a, diag)
+    return n_sites * t + _log_trace_power(a, n_sites)

@@ -225,6 +225,16 @@ class TestCompareMode:
                 "--out", str(out))
         assert self.parse_max_error(out) <= 1e-9
 
+    def test_two_level_equal_couplings_at_large_beta(self, tmp_path):
+        # The closed form divided 0 by 0 here once exp(-beta) underflowed.
+        out = tmp_path / "cmp.csv"
+        assert run_cli("--q", "2", "--couplings=-1,-1", "--compare",
+                       "--beta-min", "700", "--beta-max", "800", "--beta-count", "3",
+                       "--out", str(out)) == 0
+        _, rows, _ = read_rows(out)
+        assert len(rows) == 3
+        assert self.parse_max_error(out) <= 1e-9
+
     def test_three_level_top_coupling(self, tmp_path):
         out = tmp_path / "cmp.csv"
         run_cli("--q", "3", "--couplings", "0,0,1", "--compare",

@@ -99,6 +99,15 @@ class TestTwoLevel:
             for beta in np.linspace(0.0, 50.0, 11):
                 assert investment_q2(float(beta), float(c), float(c)) == 0.5
 
+    @pytest.mark.parametrize("beta", [0.15000000000000002, 1.1, 700.0, 745.0, 800.0, 1e4, 1e300])
+    def test_equal_couplings_are_one_half_at_any_beta(self, beta):
+        # Once beta |c| passes about 745 the scaled 1 / m underflows to 0,
+        # and Theta with it: the radical was 0 / 0 there.  It also read
+        # 0.5000000000000001 at beta 0.15000000000000002 (c = -2) and 1.1
+        # (c = -0.3).
+        for c in (-2.0, -1.0, -0.3, 0.0, 0.3, 2.0):
+            assert investment_q2(beta, c, c) == 0.5
+
     def test_frozen_endpoints(self):
         # Favoured high level wins, favoured low level wins, both-positive ties.
         assert investment_q2(80.0, 1.0, -1.0) == pytest.approx(1.0, abs=1e-3)

@@ -264,6 +264,22 @@ class TestInvestmentLanes:
         assert info.value.lane == 1
 
 
+def raw_exponents(p):
+    """x_ab = -beta (J(a) [a == b] + D (d_a + d_b) / 2), with no scaling."""
+    d = np.asarray(p.levels)
+    unit = -(np.diag(p.couplings.values) + p.field * (d[:, None] + d[None, :]) / 2.0)
+    return p.beta * unit
+
+
+def raw_log_trace(x, n):
+    """log Tr M^N for N = 1, 2 or 3 as one logsumexp over the raw exponents of its terms."""
+    if n == 1:
+        return logsumexp(np.diag(x))
+    if n == 2:
+        return logsumexp(2.0 * x)
+    return logsumexp(x[:, :, None] + x[None, :, :] + x.T[:, None, :])
+
+
 def spectral_log_z(p, n):
     """log Z_N summed from the eigvalsh spectrum, and how much its signed terms cancel."""
     m = build_matrix(p)
@@ -447,6 +463,61 @@ class TestLogPartitionFunction:
         monkeypatch.setattr(transfer, "build_matrix", refuse)
         log_partition_function(params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3), 2000)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,tries_shortcut", [(1, False), (2, False), (3, False), (8, True)])
+    def test_powering_decomposes_the_matrix_once(self, monkeypatch, n, tries_shortcut):
+        # N = 8 passes the row-sum screen, solves for lambda_1, finds the
+        # rest of the spectrum not negligible against it and powers.
+        p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
+        want, _ = spectral_log_z(p, n)
+        calls = []
+
+        def spy(name, f):
+            def counted(*args):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(transfer, name, counted)
+
+        def refuse(params):
+            raise AssertionError("build_matrix called")
+
+        for name in ("_rank_one", "_weighted_root", "_log_trace_power"):
+            spy(name, getattr(transfer, name))
+        monkeypatch.setattr(transfer, "build_matrix", refuse)
+        got = log_partition_function(p, n)
+        shortcut = ["_weighted_root"] if tries_shortcut else []
+        assert calls == ["_rank_one", *shortcut, "_log_trace_power"]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n,want", [(1, 500.0), (2, 1500.0 + math.log(2.0)), (3, 2000.0 + math.log(3.0))])
+    def test_overflowing_bias_weight(self, n, want):
+        # c_1 = s_1^2 = e^750 overflows, and s_0 s_1 = e^-375 e^375 does
+        # not form: the scaled matrix is [[e^-750, 1], [1, e^-250]].
+        p = params_for(2, 1000.0, (0.0, 1.0), field=-1.5)
+        x = raw_exponents(p)
+        assert want == pytest.approx(raw_log_trace(x, n), rel=1e-15)
+        assert log_partition_function(p, n) == pytest.approx(want, rel=1e-15)
+
+    @given(
+        q=st.integers(2, 4),
+        field=st.floats(0.05, 1.0),
+        negative_field=st.booleans(),
+        bias_span=st.floats(1.5e3, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_square_trace_past_weight_overflow(self, q, field, negative_field, bias_span, seed):
+        # The top weight c_a overflows once beta |D| times a level step
+        # passes about 1,420, and s_a once it passes 2,840: with q <= 4 that
+        # happens in about a fifth and an eighth of these draws.  The
+        # matrix is never s_a s_b, so Z_2 stays exact.
+        if negative_field:
+            field = -field
+        beta = bias_span / (abs(field) * (q - 1))
+        p = params_for(q, beta, np.random.default_rng(seed).uniform(-2.0, 2.0, q), field=field)
+        want = raw_log_trace(raw_exponents(p), 2)
+        assert abs(log_partition_function(p, 2) - want) <= 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("beta,field,n", [(12.0, 0.0, 3), (10.0, 0.0, 3), (8.0, 0.1, 5)])
     def test_odd_power_matches_enumeration(self, beta, field, n):
