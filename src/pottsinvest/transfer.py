@@ -19,13 +19,12 @@ itself.  That one solve gives l(beta, D) and the bias stencil of
 :mod:`.derivatives` at any bias, and log Z_N on long rings;
 :func:`investment_lanes` runs the zero-bias solve on many coupling vectors
 at once, as the lanes (columns) of a level-major (q, n) block whose every
-step and sum is elementwise across lanes.  By interlacing, every other
-eigenvalue is at most max_a |e_a| in size, so once N is long enough
-log Z_N = N log lambda_1 to rounding; shorter rings take Tr M^N of the
-positive rescaled matrix by binary powering, where nothing cancels.  That
-matrix is formed from the same exponents as the secular solve, so log Z_N
-decomposes the matrix once on either route; :func:`build_matrix` forms it
-independently and is the oracle the tests hold both against.
+step and sum is elementwise across lanes.  log Z_N decides its route once
+from the same O(q) decomposition: N = 1 from the diagonal exponents; N log
+lambda_1 when interlacing and a lower bound on lambda_1 prove the rest of
+the spectrum below rounding; otherwise Tr M^N of the positive rescaled
+matrix by binary powering, where nothing cancels.  :func:`build_matrix`
+forms the matrix independently, as the tests' oracle for every route.
 """
 
 from __future__ import annotations
@@ -202,9 +201,12 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     any level b, which exceeds the diagonal entry at m by c_m c_b / (Delta_b
     / 2 + sqrt(Delta_b^2 / 4 + c_m c_b)), and by s_m s_b on a tie.  Without
     that bound a tiny c_m puts a near-pole just below nu = 0, and Newton
-    would climb from it by doubling its step.
+    would climb from it by doubling its step.  On a tie m is the most
+    weighted top level, whose pairs bound nu best.
     """
-    m = int(delta.argmin())
+    tied = delta == 0.0
+    ties = np.count_nonzero(tied) > 1
+    m = int(np.where(tied, c, 0.0).argmax()) if ties else int(delta.argmin())
     half = 0.5 * delta
     # c_m c_b is at most 1 for b != m, as the square of a scaled entry.  It
     # underflows once both weights are below about 1e-154, where a tie's
@@ -212,8 +214,7 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     # has a zero gap unless levels tie.
     coupling = c[m] * c
     pair = coupling / (half + np.sqrt(half * half + coupling))
-    tied = delta == 0.0
-    if np.count_nonzero(tied) > 1:
+    if ties:
         pair = np.where(tied, math.sqrt(c[m]) * np.sqrt(c), pair)
     pair[m] = 0.0
     return max(1.0 - top, _largest(pair))
@@ -356,16 +357,19 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
     return np.minimum(np.maximum(l, lev[0]), lev[-1])
 
 
-def _rest_negligible(q: int, bound: float, top: float, n_sites: int) -> bool:
-    """(q - 1) (bound / top)^N < 2^-53, computed in logs; false if either is not finite."""
-    if bound == 0.0:
-        return True
-    excess = math.log(q - 1) + n_sites * (math.log(bound) - math.log(top))
-    return excess < _LOG_NEGLIGIBLE
+def _lambda1_floor(diag: np.ndarray, c: np.ndarray) -> float:
+    """L <= lambda_1 e^-t: the top scaled entry 1, or the Rayleigh quotient of s if larger.
+
+    It is (c . diag + 2 sum_{a > b} c_a c_b) / sum c, where sum c e + (sum
+    c)^2 would cancel; a weight that overflows makes it nan, and L is 1.
+    """
+    cum = c.cumsum()
+    rayleigh = (np.dot(c, diag) + 2.0 * np.dot(c[1:], cum[:-1])) / cum[-1]
+    return rayleigh if rayleigh > 1.0 else 1.0
 
 
 def _log_trace_power(a: np.ndarray, n: int) -> float:
-    """log Tr a^n of a symmetric, entrywise non-negative matrix a, by binary powering.
+    """log Tr a^n, n >= 2, of a symmetric, entrywise non-negative matrix a, by binary powering.
 
     p = a^(n // 2) is built bit by bit, each product divided by its largest
     entry, whose log joins p's scale; every sum adds non-negative terms, so
@@ -378,48 +382,44 @@ def _log_trace_power(a: np.ndarray, n: int) -> float:
         p = p @ p @ a if bit == "1" else p @ p
         top = float(p.max())
         p, log_p = p / top, 2.0 * log_p + math.log(top)
-    trace = float(np.trace(a) if n == 1 else np.vdot(p, p @ a if n % 2 else p))
+    trace = float(np.vdot(p, p @ a if n % 2 else p))
     if trace < np.finfo(float).tiny:
         raise ConvergenceError("Tr M^N underflows; reduce beta*J or beta*D", residual=trace)
     return 2.0 * log_p + math.log(trace)
 
 
 def log_partition_function(params: ModelParams, n_sites: int) -> float:
-    """log Z_N of the ring, Z_N = Tr M^N = sum_i lambda_i^N.
+    """log Z_N of the ring, Z_N = Tr M^N = sum_i lambda_i^N, by a route chosen before any solve.
 
-    M = exp(t) (diag(e) + s s^T) is a rank-one update of a diagonal matrix
-    (see :func:`_rank_one`), so by eigenvalue interlacing (Golub, SIAM Rev.
-    15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978) every
-    eigenvalue but the dominant one is at most B = max_a |e_a| in size, and
-    Z_N = lambda_1^N (1 + r) with |r| <= (q - 1) (B / lambda_1)^N.  When
-    that is below 2^-53, log Z_N = N log lambda_1 to rounding, with
-    lambda_1 from the weighted secular solve (:func:`_weighted_root`) on
-    the same decomposition, at any bias; an O(q) test against the largest
-    row sum, which bounds lambda_1 from above, skips that solve when it
-    cannot succeed, as it does when a weight c_a overflows.
+    Each route reads only the O(q) parts of :func:`_rank_one` it needs.  N
+    = 1 is t + logsumexp(z), exact at any beta.  Else M = exp(t) (diag(e) +
+    s s^T), so by interlacing (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen &
+    Sorensen, Numer. Math. 31, 1978) every eigenvalue but lambda_1 is at
+    most B = max_a |e_a| in size, and Z_N = lambda_1^N (1 + r) with |r| <=
+    (q - 1) (B / lambda_1)^N.  When (q - 1) (B / L)^N < 2^-53, with L <=
+    lambda_1 from :func:`_lambda1_floor`, log Z_N = N log lambda_1 to
+    rounding, from one weighted secular solve (:func:`_weighted_root`); a
+    weight c_a that overflows makes B infinite.
 
-    Otherwise Z_N comes from :func:`_log_trace_power` on exp(-t) M, formed
+    Every other ring takes :func:`_log_trace_power` of exp(-t) M, formed
     from the same exponents as exp(z_a) on the diagonal and exp((u_a +
     u_b) / 2) off it, never as s_a s_b, which overflows where the matrix
-    does not; :func:`build_matrix` is not called and remains the oracle the
-    tests check this against.  The matrix is entrywise positive, so odd
-    rings whose eigenvalues of both signs cancel in sum_i lambda_i^N lose
-    no digits; only a trace that underflows below the smallest normal
-    double raises :class:`ConvergenceError`.
+    does not, and never by :func:`build_matrix`.  The matrix is entrywise
+    positive, so odd rings whose eigenvalues of both signs cancel in sum_i
+    lambda_i^N lose no digits; only a trace that underflows below the
+    smallest normal double raises :class:`ConvergenceError`.
     """
     if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
         raise ValueError("n_sites must be a positive integer")
     with np.errstate(over="ignore", invalid="ignore"):
         t, z_max, dz, c, z, u = _rank_one(params)
+        if n_sites == 1:
+            return t + z_max + math.log(float(np.exp(z - z_max).sum()))
         diag = np.exp(z)
-        e = diag - c
-        s = np.sqrt(c)
-        bound = _largest(np.abs(e))
-        row_max = _largest(e + s * s.sum())
-        if _rest_negligible(params.q, bound, row_max, n_sites):
-            log_top, _, _ = _weighted_root(z_max, dz, c)
-            if _rest_negligible(params.q, bound, math.exp(log_top), n_sites):
-                return n_sites * (t + log_top)
+        bound = _largest(np.abs(diag - c))
+        log_ratio = math.log(bound) - math.log(_lambda1_floor(diag, c)) if bound else -math.inf
+        if math.log(params.q - 1) + n_sites * log_ratio < _LOG_NEGLIGIBLE:
+            return n_sites * (t + _weighted_root(z_max, dz, c)[0])
         # The diagonal of the outer sum is u_a, which can overflow exp
         # where the diagonal exponent z_a does not; it is overwritten.
         u *= 0.5

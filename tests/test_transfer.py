@@ -183,6 +183,10 @@ class TestDominantEigenvalue:
             # e^-249 multiply to an underflow, so only the tie's bound
             # s_0 s_1 = e^-373.5 keeps Newton from climbing from 0 by doubling.
             ((-2.0, -1.0), 249.0, -1.0),
+            # Levels 0, 2 and 3 tie at the top of the diagonal, level 0 with
+            # a weight of e^-402.  Its pairs bound nu by e^-201, far below the
+            # root near e^-67, and Newton doubled its way up past the cap.
+            ((-3.0, 0.0, -1.0, 0.0), 134.0, -1.0),
         ],
     )
     def test_extreme_bias_weights_settle_fast(self, monkeypatch, couplings, beta, field):
@@ -207,6 +211,16 @@ class TestDominantEigenvalue:
         with pytest.raises(ConvergenceError, match="2 Newton steps") as info:
             dominant_eigenvalue(params_for(2, 1.0, (1.0, -1.0)))
         assert info.value.residual > 0.0
+
+    def test_newton_cap_raises_at_any_bias(self, monkeypatch):
+        # The weighted solve behind dominant_eigenvalue and the long-ring
+        # log Z also stops at the cap, not at a wrong root.
+        monkeypatch.setattr(transfer, "_NEWTON_CAP", 2)
+        p = params_for(3, 1.0, (1.0, -1.0, 0.5), field=0.3)
+        for solve in (dominant_eigenvalue, lambda p: log_partition_function(p, 10**6)):
+            with pytest.raises(ConvergenceError, match="2 Newton steps") as info:
+                solve(p)
+            assert info.value.residual > 0.0
 
 
 class TestInvestmentLanes:
@@ -379,6 +393,89 @@ class TestLogPartitionFunction:
         got = log_partition_function(params_for(q, beta, j, field=field), n)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    def test_one_site_exact_where_the_diagonal_underflows(self):
+        # Both scaled diagonal entries are e^-1000 against the off-diagonal 1.
+        p = params_for(2, 1000.0, (1.0, 1.0))
+        assert log_partition_function(p, 1) == -1000.0 + math.log(2.0)
+
+    @given(
+        q=st.integers(2, 300),
+        field=st.floats(-1.0, 1.0),
+        log_beta=st.floats(-3.0, 3.0),
+        contrarian_shift=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_site_is_the_logsumexp_of_the_diagonal(self, q, field, log_beta, contrarian_shift, seed):
+        # No cap on the entry span: Tr M is read off the diagonal exponents
+        # however far the scaled diagonal underflows, as it does once every
+        # coupling is positive and beta J(a) passes about 708.
+        j = np.random.default_rng(seed).uniform(-2.0, 2.0, q) + contrarian_shift
+        p = params_for(q, 10.0**log_beta, j, field=field)
+        x = raw_exponents(p)
+        want = raw_log_trace(x, 1)
+        assert abs(log_partition_function(p, 1) - want) <= 4 * EPS * float(np.abs(x).max() + 1.0)
+
+    def test_lambda1_floor_where_one_weight_dominates(self):
+        # c = (8.8e-27, 4.9e8) and lambda_1 e^-t = 1: the cancelling form
+        # sum c e + (sum c)^2 over sum c reads 4.2e-8 above it.
+        p = params_for(2, 40.0, (-1.0, 0.5), field=-2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, _, _, c, z, _ = transfer._rank_one(p)
+        diag = np.exp(z)
+        scaled = math.exp(dominant_eigenvalue(p)[0] - t)
+        assert transfer._lambda1_floor(diag, c) <= scaled
+        cancelling = (c @ (diag - c) + c.sum() ** 2) / c.sum()
+        assert cancelling > scaled * (1.0 + 1e-8)
+
+    @given(
+        q=st.integers(2, 120),
+        field=st.floats(0.05, 1.0),
+        negative_field=st.booleans(),
+        bias_step=st.floats(0.1, 200.0),
+        dominance=st.floats(0.0, 60.0),
+        n=st.integers(2, 10**5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lambda1_floor_is_a_lower_bound_and_proves_the_shortcut(
+        self, q, field, negative_field, bias_step, dominance, n, seed
+    ):
+        # beta |D| up to 200 per level step, and the most weighted level's
+        # coupling beta J = dominance puts its weight c up to e^60 above its
+        # diagonal entry: the band where sum c e + (sum c)^2 cancels.
+        beta = bias_step / field
+        j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
+        j[-1 if negative_field else 0] = dominance / beta
+        p = params_for(q, beta, j, field=-field if negative_field else field)
+        log_lambda1, _ = dominant_eigenvalue(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, _, _, c, z, _ = transfer._rank_one(p)
+        # The scaled entries' exponents round by about eps |t|.
+        floor = transfer._lambda1_floor(np.exp(z), c)
+        assert math.log(floor) <= log_lambda1 - t + 4 * EPS * (1.0 + abs(t))
+        solved = []
+        weighted_root = transfer._weighted_root
+
+        def spy(*args):
+            solved.append(args)
+            return weighted_root(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "_weighted_root", spy)
+            try:
+                log_partition_function(p, n)
+            except ConvergenceError:  # an odd power's trace underflows
+                pass
+        assert len(solved) <= 1
+        if solved:
+            # log |e_a| = y_a + log |expm1(x_a)| from the raw exponents y_a =
+            # -beta D d_a and x_a = -beta J(a), with no scaling and no overflow.
+            y, x = -beta * p.field * np.arange(q, dtype=float), -beta * j
+            with np.errstate(divide="ignore"):
+                log_e = y + np.maximum(x, 0.0) + np.log(-np.expm1(-np.abs(x)))
+            assert math.log(q - 1) + n * (float(log_e.max()) - log_lambda1) < -53.0 * math.log(2.0)
+
     @given(
         q=st.integers(2, 120),
         n=st.integers(1, 10**5),
@@ -439,14 +536,19 @@ class TestLogPartitionFunction:
         p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
         want, _ = spectral_log_z(p, 2000)
 
-        def refuse(a, n):
-            raise AssertionError("powering called")
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(transfer, "_log_trace_power", refuse)
+            return refused
+
+        monkeypatch.setattr(transfer, "_log_trace_power", refuse("powering"))
         got = log_partition_function(p, 2000)
         assert got == pytest.approx(want, rel=1e-12)
-        with pytest.raises(AssertionError, match="powering called"):
-            log_partition_function(p, 1)
+        # One site is the trace of the diagonal: no solve and no powering.
+        monkeypatch.setattr(transfer, "_weighted_root", refuse("the secular solve"))
+        want, _ = spectral_log_z(p, 1)
+        assert log_partition_function(p, 1) == pytest.approx(want, rel=1e-13)
 
     def test_shortcut_decomposes_the_matrix_once(self, monkeypatch):
         calls = []
@@ -464,12 +566,9 @@ class TestLogPartitionFunction:
         log_partition_function(params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3), 2000)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n,tries_shortcut", [(1, False), (2, False), (3, False), (8, True)])
-    def test_powering_decomposes_the_matrix_once(self, monkeypatch, n, tries_shortcut):
-        # N = 8 passes the row-sum screen, solves for lambda_1, finds the
-        # rest of the spectrum not negligible against it and powers.
-        p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
-        want, _ = spectral_log_z(p, n)
+    @staticmethod
+    def spied_log_z(monkeypatch, p, n):
+        """log Z_N, and the private route functions it called in order; build_matrix refused."""
         calls = []
 
         def spy(name, f):
@@ -485,10 +584,23 @@ class TestLogPartitionFunction:
         for name in ("_rank_one", "_weighted_root", "_log_trace_power"):
             spy(name, getattr(transfer, name))
         monkeypatch.setattr(transfer, "build_matrix", refuse)
-        got = log_partition_function(p, n)
-        shortcut = ["_weighted_root"] if tries_shortcut else []
-        assert calls == ["_rank_one", *shortcut, "_log_trace_power"]
+        return log_partition_function(p, n), calls
+
+    @pytest.mark.parametrize("n,solves", [(2, False), (3, False), (8, False)])
+    def test_powering_decomposes_the_matrix_once(self, monkeypatch, n, solves):
+        # The lower bound on lambda_1 cannot prove the rest of the spectrum
+        # negligible at these N, so each powers with no secular solve.
+        p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
+        want, _ = spectral_log_z(p, n)
+        got, calls = self.spied_log_z(monkeypatch, p, n)
+        assert calls == ["_rank_one", *["_weighted_root"] * solves, "_log_trace_power"]
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_one_site_reads_the_diagonal_exponents(self, monkeypatch):
+        p = params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3)
+        got, calls = self.spied_log_z(monkeypatch, p, 1)
+        assert calls == ["_rank_one"]
+        assert got == pytest.approx(raw_log_trace(raw_exponents(p), 1), rel=1e-15)
 
     @pytest.mark.parametrize("n,want", [(1, 500.0), (2, 1500.0 + math.log(2.0)), (3, 2000.0 + math.log(3.0))])
     def test_overflowing_bias_weight(self, n, want):
