@@ -17,7 +17,10 @@ token, checked on its own by the same parser, and the file's tokens go in
 front of the command line, so flags override the file.  Floats are written
 with repr, which round-trips exactly.  Exit codes: 0 success, 2
 configuration error, 3 numerical failure (the message names the beta and,
-for ensembles, the seed).
+for ensembles, the seed).  The CLI checks only the rules of its own flags;
+the library checks the rest (coupling count and finiteness, and a grid
+whose points round to equal values), and its ValueError is a configuration
+error too.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ from .closedform import (
     investment_q3_case3,
 )
 from .derivatives import InvestmentCurve, SweepError, sweep_curve
-from .model import CouplingProfile, ModelParams
+from .model import ModelParams
 from .profiles import ProfileSpec, ensemble_sweep, make_profile
-from .transfer import ConvergenceError
 
 __all__ = ["ConfigError", "main"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
@@ -218,35 +220,35 @@ def _beta_grid(args: argparse.Namespace) -> list[float]:
     return [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.beta_count)]
 
 
-def _resolve_couplings(args: argparse.Namespace) -> CouplingProfile:
-    """Coupling vector for non-ensemble runs (explicit or deterministic profile)."""
-    if args.couplings is not None:
-        try:
-            profile = CouplingProfile(args.couplings)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if profile.q != args.q:
-            raise ConfigError(f"couplings list has {profile.q} entries, expected q={args.q}")
-        return profile
-    return make_profile(ProfileSpec(kind=args.profile, q=args.q))
+def _params(args: argparse.Namespace) -> ModelParams:
+    """Zero-bias model of a non-ensemble run (explicit couplings or a deterministic profile)."""
+    couplings = args.couplings
+    if couplings is None:
+        couplings = make_profile(ProfileSpec(kind=args.profile, q=args.q))
+    return ModelParams(args.q, 0.0, couplings)
 
 
-def _limit_lines(params: ModelParams, seed: int | None = None) -> list[str]:
-    info = classify_limits(params)
-    tag = "" if seed is None else f"seed {seed}: "
+def _limit_lines(models: list[tuple[str, ModelParams]]) -> list[str]:
+    """The --emit-limits footer for (tag, params) pairs.
+
+    The beta=0 value depends only on the levels, which all models share, so
+    it is stated once, first; then one beta->infinity line per model.
+    """
     lines = []
-    if seed is None:
-        lines.append(f"# {tag}investment_at_beta_zero = {info.beta_zero!r}")
-    if info.unique_min:
-        lines.append(
-            f"# {tag}investment_at_beta_infinity = {info.beta_infinity!r} "
-            f"(unique coupling minimum at level {params.couplings.unique_min_index()})"
-        )
-    else:
-        lines.append(
-            f"# {tag}investment_at_beta_infinity = undefined "
-            "(coupling minimum attained at multiple levels)"
-        )
+    for tag, params in models:
+        info = classify_limits(params)
+        if not lines:
+            lines.append(f"# investment_at_beta_zero = {info.beta_zero!r}")
+        if info.unique_min:
+            lines.append(
+                f"# {tag}investment_at_beta_infinity = {info.beta_infinity!r} "
+                f"(unique coupling minimum at level {params.couplings.unique_min_index()})"
+            )
+        else:
+            lines.append(
+                f"# {tag}investment_at_beta_infinity = undefined "
+                "(coupling minimum attained at multiple levels)"
+            )
     return lines
 
 
@@ -263,18 +265,17 @@ def _curve_rows(curve: InvestmentCurve, betas: list[str], suffix: str = "") -> l
     return [f"{b},{val!r}{suffix}" for b, (_, val) in zip(betas, curve.points)]
 
 
-def _run_single(args: argparse.Namespace, grid: list[float]) -> int:
-    params = ModelParams(args.q, 0.0, _resolve_couplings(args))
+def _run_single(args: argparse.Namespace, grid: list[float]) -> list[str]:
+    params = _params(args)
     curve = sweep_curve(params, grid)
     lines = ["beta,l"]
     lines.extend(_curve_rows(curve, [repr(b) for b, _ in curve.points]))
     if args.emit_limits:
-        lines.extend(_limit_lines(params))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+        lines.extend(_limit_lines([("", params)]))
+    return lines
 
 
-def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> int:
+def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> list[str]:
     ensemble = ensemble_sweep(args.q, args.seeds, grid)
     betas = [repr(b) for b in grid]
     lines = ["beta,l,seed"]
@@ -282,20 +283,17 @@ def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> int:
         lines.extend(_curve_rows(curve, betas, f",{seed}"))
     lines.extend(_curve_rows(ensemble.mean_curve, betas, ",mean"))
     if args.emit_limits:
-        first = ensemble.curves[0].params_snapshot
-        lines.append(f"# investment_at_beta_zero = {classify_limits(first).beta_zero!r}")
-        for seed, curve in zip(ensemble.seeds, ensemble.curves):
-            lines.extend(_limit_lines(curve.params_snapshot, seed=seed))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+        members = zip(ensemble.seeds, ensemble.curves)
+        lines.extend(_limit_lines([(f"seed {s}: ", c.params_snapshot) for s, c in members]))
+    return lines
 
 
-def _closed_form_for(args: argparse.Namespace, couplings: CouplingProfile):
+def _closed_form_for(params: ModelParams):
     """Pick the exact curve matching (q, couplings), or explain why none does."""
-    j = couplings.values
-    if args.q == 2:
+    j = params.couplings.values
+    if params.q == 2:
         return lambda beta: investment_q2(beta, j[0], j[1])
-    if args.q == 3:
+    if params.q == 3:
         if j[0] == 0.0 and j[1] == 0.0:
             return lambda beta: investment_q3_case1(beta, j[2])
         if j[0] == 0.0 and j[2] == 0.0:
@@ -309,10 +307,9 @@ def _closed_form_for(args: argparse.Namespace, couplings: CouplingProfile):
     raise ConfigError("compare mode supports q=2 (any couplings) and the integrable q=3 cases")
 
 
-def _run_compare(args: argparse.Namespace, grid: list[float]) -> int:
-    couplings = _resolve_couplings(args)
-    closed = _closed_form_for(args, couplings)
-    params = ModelParams(args.q, 0.0, couplings)
+def _run_compare(args: argparse.Namespace, grid: list[float]) -> list[str]:
+    params = _params(args)
+    closed = _closed_form_for(params)
     curve = sweep_curve(params, grid)
     lines = ["beta,l_numeric,l_closed_form,abs_error"]
     max_err = 0.0
@@ -322,10 +319,7 @@ def _run_compare(args: argparse.Namespace, grid: list[float]) -> int:
         max_err = max(max_err, err)
         lines.append(f"{b!r},{numeric!r},{exact!r},{err!r}")
     lines.append(f"# max_abs_error = {max_err!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.out != "-":
-        print(f"max_abs_error = {max_err!r}")
-    return 0
+    return lines
 
 
 def main(argv=None) -> int:
@@ -337,26 +331,27 @@ def main(argv=None) -> int:
             args = _parse(parser, _config_tokens(parser, args.config) + argv)
         _validate(args)
         grid = _beta_grid(args)
+        ensemble = args.seeds is not None
+        run = _run_compare if args.compare else _run_ensemble if ensemble else _run_single
+        lines = run(args, grid)
+        _write_text(args.out, "\n".join(lines) + "\n")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError, or a library check on user input (grid, couplings):
+        # every numerical failure arrives wrapped in SweepError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.compare:
-            return _run_compare(args, grid)
-        if args.seeds is not None:
-            return _run_ensemble(args, grid)
-        return _run_single(args, grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SweepError, ConvergenceError) as exc:
+    except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    if args.compare and args.out != "-":
+        # The last compare line is its "# max_abs_error = ..." footer.
+        print(lines[-1].removeprefix("# "))
+    return 0
 
 
 if __name__ == "__main__":

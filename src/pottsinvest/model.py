@@ -21,6 +21,7 @@ spectral machinery in :mod:`.transfer`; they refuse systems larger than
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,23 @@ _BLOCK = 1 << 16
 
 class EnumerationCapError(RuntimeError):
     """Asked a brute-force oracle for more than ENUMERATION_STATE_CAP states."""
+
+
+def _count(value, least: int, message: str) -> int:
+    """``value`` as a Python int, if it is an integer (NumPy's too) of at least ``least``.
+
+    Anything else, bools and integral floats included, raises
+    ``ValueError(message)``.
+    """
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n >= least:
+                return n
+    raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,7 @@ class ModelParams:
     levels: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or isinstance(self.q, bool):
-            raise ValueError("q must be an integer")
-        if self.q < 2:
-            raise ValueError("need at least two investment levels (q >= 2)")
+        object.__setattr__(self, "q", _count(self.q, 2, "q must be an integer with q >= 2"))
         beta = float(self.beta)
         if not math.isfinite(beta) or beta < 0.0:
             raise ValueError("beta must be finite and non-negative")
@@ -167,14 +182,15 @@ def hamiltonian(config: SpinConfig, params: ModelParams) -> float:
     return bond + params.field * total_investment(config, params)
 
 
-def _check_enumerable(q: int, n_sites: int) -> None:
-    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
-        raise ValueError("n_sites must be a positive integer")
+def _check_enumerable(q: int, n_sites: int) -> int:
+    """``n_sites`` as an int, if the oracles may walk all q**n_sites states."""
+    n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
     if q**n_sites > ENUMERATION_STATE_CAP:
         raise EnumerationCapError(
             f"{q}**{n_sites} states exceed the enumeration cap of "
             f"{ENUMERATION_STATE_CAP}; use the transfer-matrix path"
         )
+    return n_sites
 
 
 def _config_blocks(q: int, n_sites: int):
@@ -201,7 +217,7 @@ def partition_function_bruteforce(params: ModelParams, n_sites: int) -> float:
     Strictly positive.  Intended for small rings; raises
     :class:`EnumerationCapError` beyond ``ENUMERATION_STATE_CAP`` states.
     """
-    _check_enumerable(params.q, n_sites)
+    n_sites = _check_enumerable(params.q, n_sites)
     z = 0.0
     for block in _config_blocks(params.q, n_sites):
         energy, _ = _block_energy_and_total(block, params)
@@ -214,7 +230,7 @@ def expected_investment_bruteforce(params: ModelParams, n_sites: int) -> float:
 
     Always lies inside [levels[0], levels[q-1]].
     """
-    _check_enumerable(params.q, n_sites)
+    n_sites = _check_enumerable(params.q, n_sites)
     z = 0.0
     weighted = 0.0
     for block in _config_blocks(params.q, n_sites):

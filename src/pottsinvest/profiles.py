@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .derivatives import InvestmentCurve, SweepError, _checked_grid
-from .model import CouplingProfile, ModelParams
+from .model import CouplingProfile, ModelParams, _count
 from .transfer import ConvergenceError, investment_lanes
 
 __all__ = [
@@ -95,8 +95,7 @@ class ProfileSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"profile kind must be one of {_KINDS}")
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 2:
-            raise ValueError("q must be an integer >= 2")
+        object.__setattr__(self, "q", _count(self.q, 2, "q must be an integer with q >= 2"))
         if self.kind == "random" and self.seed is None:
             raise ValueError("random profiles require a seed")
 

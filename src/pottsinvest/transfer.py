@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _count
 
 __all__ = [
     "ConvergenceError",
@@ -409,8 +409,7 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     lambda_i^N lose no digits; only a trace that underflows below the
     smallest normal double raises :class:`ConvergenceError`.
     """
-    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
-        raise ValueError("n_sites must be a positive integer")
+    n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
     with np.errstate(over="ignore", invalid="ignore"):
         t, z_max, dz, c, z, u = _rank_one(params)
         if n_sites == 1:

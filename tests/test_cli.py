@@ -115,11 +115,10 @@ class TestEmitLimits:
         run_cli("--q", "2", "--couplings", "1,-1", "--beta-count", "2",
                 "--emit-limits", "--out", str(out))
         _, _, comments = read_rows(out)
-        assert "# investment_at_beta_zero = 0.5" in comments
-        assert any(
-            "investment_at_beta_infinity = 1.0" in c and "level 1" in c
-            for c in comments
-        )
+        assert comments == [
+            "# investment_at_beta_zero = 0.5",
+            "# investment_at_beta_infinity = 1.0 (unique coupling minimum at level 1)",
+        ]
 
     def test_nonnegative_minimum_footer(self, tmp_path):
         # A penalised minimum still settles away from its level: the exact
@@ -191,12 +190,14 @@ class TestEnsembleRuns:
                 "--beta-count", "2", "--beta-max", "1.0",
                 "--emit-limits", "--out", str(out))
         _, _, comments = read_rows(out)
-        assert (
-            "# seed 1: investment_at_beta_infinity = 7.0 (unique coupling minimum at level 8)"
-            in comments
-        )
-        # Seed 3 has a tied coupling minimum, so its endpoint is undefined.
-        assert any(c.startswith("# seed 3:") and "undefined" in c for c in comments)
+        # The beta = 0 value once, first; then one endpoint per seed, in seed
+        # order.  Seed 3 has a tied coupling minimum, so its endpoint is undefined.
+        assert comments == [
+            "# investment_at_beta_zero = 7.0",
+            "# seed 1: investment_at_beta_infinity = 7.0 (unique coupling minimum at level 8)",
+            "# seed 3: investment_at_beta_infinity = undefined "
+            "(coupling minimum attained at multiple levels)",
+        ]
 
 
 class TestCompareMode:
@@ -406,6 +407,8 @@ class TestExitCodes:
     def test_coupling_length_mismatch(self, capsys):
         assert run_cli("--q", "3", "--couplings", "1,2") == 2
         assert "expected q=3" in capsys.readouterr().err
+        assert run_cli("--q", "3", "--couplings", "1,2", "--compare") == 2
+        assert "expected q=3" in capsys.readouterr().err
 
     def test_non_finite_couplings(self, capsys):
         assert run_cli("--q", "2", "--couplings=nan,1") == 2
@@ -426,6 +429,14 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli("--q", "2", "--couplings", "1,2", "--beta-min", "-1") == 2
         assert "beta-min must be non-negative" in capsys.readouterr().err
+        # Distinct bounds whose grid points round to equal values: the
+        # library's grid check rejects them, as a configuration error.
+        rounded = ("--beta-min", "1", "--beta-max", "1.0000000000000002", "--beta-count", "5")
+        for run in (("--couplings", "1,1"), ("--couplings", "1,1", "--compare"),
+                    ("--profile", "random", "--seeds", "1")):
+            assert run_cli("--q", "2", *run, *rounded) == 2
+            err = capsys.readouterr().err
+            assert err == "error: beta grid must be strictly increasing\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -245,6 +245,27 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             ModelParams(q=q, beta=1.0, couplings=(0.0, 1.0), levels=levels)
 
+    def test_numpy_integer_counts(self):
+        # q and n_sites follow one rule: any integer, NumPy's too, stored
+        # and used as a Python int; bools and floats are refused.
+        p = params_for(2, 0.7, (0.0, 1.0))
+        assert type(ModelParams(q=np.int64(2), beta=0.7, couplings=(0.0, 1.0)).q) is int
+        assert type(profiles.ProfileSpec("aggressive", np.int64(4)).q) is int
+        sweep = profiles.ensemble_sweep
+        assert sweep(np.int64(5), [1], [0.0, 1.0]) == sweep(5, [1], [0.0, 1.0])
+        for count in (transfer.log_partition_function, partition_function_bruteforce,
+                      expected_investment_bruteforce):
+            got = count(p, np.int64(4))
+            assert type(got) is float and got == count(p, 4)
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError, match="q must be an integer"):
+                ModelParams(q=bad, beta=1.0, couplings=(0.0, 1.0))
+            with pytest.raises(ValueError, match="q must be an integer"):
+                profiles.ProfileSpec("aggressive", bad)
+            for count in (transfer.log_partition_function, partition_function_bruteforce):
+                with pytest.raises(ValueError, match="n_sites must be a positive integer"):
+                    count(p, bad)
+
     def test_default_levels_are_indices(self):
         p = params_for(4, 1.0, range(4))
         assert p.levels == (0.0, 1.0, 2.0, 3.0)
