@@ -31,7 +31,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import dominant_eigenvalue
+from .transfer import _biased_pair, _coupling_span, _unbiased_root, dominant_eigenvalue
 
 __all__ = [
     "StencilConfig",
@@ -113,6 +113,34 @@ def _stencil_investment(params: ModelParams, cfg: StencilConfig) -> float:
     return -diff(f, cfg.xi) / params.beta
 
 
+def _curve_setup(params: ModelParams) -> tuple:
+    """The beta-independent part of l(beta) for one model, formed once per curve.
+
+    The couplings J and levels as arrays, the bias, J_min, J - J_min and
+    the end levels d_0 and d_{q-1}.
+    """
+    j, lev = np.array(params.couplings.values), params.levels
+    return (j, np.array(lev), params.field, *_coupling_span(j), lev[0], lev[-1])
+
+
+def _investment(setup: tuple, beta: float) -> float:
+    """l at one beta >= 0 from a curve's setup: one secular solve, then sum_a d_a v_a^2.
+
+    At beta = 0 it is the plain mean of the levels.
+    """
+    j, lev, field, j_min, j_span, low, high = setup
+    if beta == 0.0:
+        return math.fsum(lev) / len(lev)
+    if field != 0.0:
+        v = _biased_pair(j, lev, beta, field)[1]
+    else:
+        v = _unbiased_root(beta, j_min, j_span)[2]
+    # Dividing by sum v_a^2 (1 up to rounding) makes ties exact: equal
+    # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
+    weights = v * v
+    return min(max(float(np.dot(lev, weights) / weights.sum()), low), high)
+
+
 def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None) -> float:
     """Per-capita investment l(beta, D) of the infinite ring at the model's bias D.
 
@@ -123,16 +151,9 @@ def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None)
     the paper's finite-difference route instead, unclamped.  A bias so
     strong that a secular weight overflows raises ValueError.
     """
-    if params.beta == 0.0:
-        return math.fsum(params.levels) / params.q
-    if cfg is not None:
+    if cfg is not None and params.beta != 0.0:
         return _stencil_investment(params, cfg)
-    _, v = dominant_eigenvalue(params)
-    # Dividing by sum v_a^2 (1 up to rounding) makes ties exact: equal
-    # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
-    weights = v * v
-    lev = params.levels
-    return min(max(float(np.dot(lev, weights) / weights.sum()), lev[0]), lev[-1])
+    return _investment(_curve_setup(params), params.beta)
 
 
 def _checked_grid(betas) -> list[float]:
@@ -150,17 +171,20 @@ def _checked_grid(betas) -> list[float]:
 def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
     """Evaluate l(beta) over a grid of beta values.
 
-    The grid must be non-negative and strictly increasing.  Any point
-    failure aborts the sweep with a :class:`SweepError` naming the beta.
+    The grid must be non-negative and strictly increasing.  The model's
+    beta-independent arrays are formed once; each beta then costs one
+    secular solve, bit for bit the value :func:`per_capita_investment`
+    gives at that beta.  Any point failure aborts the sweep with a
+    :class:`SweepError` naming the beta.
     """
     grid = _checked_grid(betas)
+    setup = _curve_setup(params_base)
     points = []
     for b in grid:
         try:
-            val = per_capita_investment(replace(params_base, beta=b))
+            points.append((b, _investment(setup, b)))
         except Exception as exc:
             raise SweepError(b, exc) from exc
-        points.append((b, val))
     return InvestmentCurve(
         points=tuple(points),
         params_snapshot=replace(params_base, beta=0.0),

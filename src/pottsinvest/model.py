@@ -41,6 +41,7 @@ __all__ = [
 # Largest q ** n_sites the enumeration oracles will walk.  Keeps the oracle
 # path interactive; larger systems belong to the transfer-matrix path.
 ENUMERATION_STATE_CAP = 1 << 24
+_LOG_STATE_CAP = math.log(ENUMERATION_STATE_CAP)
 
 # Enumeration chunk size; bounds peak memory independent of system size.
 _BLOCK = 1 << 16
@@ -183,9 +184,17 @@ def hamiltonian(config: SpinConfig, params: ModelParams) -> float:
 
 
 def _check_enumerable(q: int, n_sites: int) -> int:
-    """``n_sites`` as an int, if the oracles may walk all q**n_sites states."""
+    """``n_sites`` as an int, if the oracles may walk all q**n_sites states.
+
+    n_sites log q against log(cap) decides in O(1): the exponent the cap
+    allows, log(cap) / log(q), is at most 24 and rounds by about 1e-14, so
+    only a count within 1e-6 of it forms the exact q**n_sites.
+    """
     n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
-    if q**n_sites > ENUMERATION_STATE_CAP:
+    allowed = _LOG_STATE_CAP / math.log(q)
+    if n_sites > allowed + 1e-6 or (
+        n_sites > allowed - 1e-6 and q**n_sites > ENUMERATION_STATE_CAP
+    ):
         raise EnumerationCapError(
             f"{q}**{n_sites} states exceed the enumeration cap of "
             f"{ENUMERATION_STATE_CAP}; use the transfer-matrix path"

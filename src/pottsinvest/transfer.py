@@ -135,7 +135,7 @@ def _unsettled(residual: float) -> ConvergenceError:
 
 
 def _rank_one(
-    params: ModelParams,
+    j: np.ndarray, lev: np.ndarray, beta: float, field: float
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """t, z_max, dz, c = s^2, z and u with M = exp(t) (diag(exp(z_max + dz) - c) + s s^T).
 
@@ -149,23 +149,23 @@ def _rank_one(
     z_m and dz_a = -beta (g_a - g_m) <= 0, so an ulp split keeps its sign.
     Weights below ``_WEIGHT_FLOOR`` are raised to it; one can exceed 1, and
     overflows only when beta |D| times the end levels' step passes 1400.
+    j and lev are the couplings and levels as arrays, which are only read.
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``, here and
     around :func:`_weighted_root`: an exponent that overflows is caught by
     the finiteness check instead.
     """
-    j, lev = np.array(params.couplings.values), np.array(params.levels)
-    bias = -(params.beta * params.field)
+    bias = -(beta * field)
     y = lev * bias
-    z = y - params.beta * j
+    z = y - beta * j
     t = max(_largest(z), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
     u = y - t
     c = np.exp(u)
     np.maximum(c, _WEIGHT_FLOOR, out=c)
     z -= t
     k = int(z.argmax())
-    g = (j - j[k]) + params.field * (lev - lev[k])
+    g = (j - j[k]) + field * (lev - lev[k])
     m = int(g.argmin())
-    dz = -params.beta * (g - g[m])
+    dz = -beta * (g - g[m])
     _require_finite(z)
     return t, float(z[m]), dz, c, z, u
 
@@ -262,6 +262,41 @@ def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, 
     return math.log(top + nu), nu, delta
 
 
+def _biased_pair(
+    j: np.ndarray, lev: np.ndarray, beta: float, field: float
+) -> tuple[float, np.ndarray]:
+    """(log lambda_1, v) at bias ``field`` != 0 from the arrays :func:`_rank_one` reads."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, z_max, dz, c, _, _ = _rank_one(j, lev, beta, field)
+        log_top, nu, delta = _weighted_root(z_max, dz, c)
+    v = np.sqrt(c) / (nu + delta + c)
+    return t + log_top, v / float(np.linalg.norm(v))
+
+
+def _coupling_span(j: np.ndarray) -> tuple[float, np.ndarray]:
+    """J_min and J - J_min; a span that overflows is inf, caught by :func:`_unbiased_root`."""
+    j_min = float(j.min())
+    with np.errstate(over="ignore"):
+        return j_min, j - j_min
+
+
+def _unbiased_root(
+    beta: float, j_min: float, j_span: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """x_max, mu and the unit dominant eigenvector at zero bias, j_span = J - J_min.
+
+    j_span is only read, so a curve forms it once for all its betas.
+    """
+    x_max = -beta * j_min
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = -beta * j_span
+        _require_finite(dx + x_max)
+    delta, mu = _secular_start(dx, x_max)
+    mu = _secular_root(delta, float(mu))
+    w = 1.0 / (mu + delta)
+    return x_max, mu, w / float(np.linalg.norm(w))
+
+
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of the transfer matrix at any bias, from its secular equation.
 
@@ -276,23 +311,12 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     the number of levels tied at x_max.  Delta is exactly 0 on tied levels
     (:func:`_secular_start`), and an entry that overflows to inf drops out.
     """
+    j = np.array(params.couplings.values)
     if params.field != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t, z_max, dz, c, _, _ = _rank_one(params)
-            log_top, nu, delta = _weighted_root(z_max, dz, c)
-        v = np.sqrt(c) / (nu + delta + c)
-        return t + log_top, v / float(np.linalg.norm(v))
-    j = np.asarray(params.couplings.values)
-    j_min = j.min()
-    x_max = -params.beta * float(j_min)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = -params.beta * (j - j_min)
-        _require_finite(dx + x_max)
-    delta, mu = _secular_start(dx, x_max)
-    mu = _secular_root(delta, float(mu))
-    w = 1.0 / (mu + delta)
+        return _biased_pair(j, np.array(params.levels), params.beta, params.field)
+    x_max, mu, v = _unbiased_root(params.beta, *_coupling_span(j))
     log_value = float(np.logaddexp(x_max, math.log(mu - 1.0))) if mu > 1.0 else x_max
-    return log_value, w / float(np.linalg.norm(w))
+    return log_value, v
 
 
 def _level_sum(a: np.ndarray) -> np.ndarray:
@@ -411,7 +435,9 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     """
     n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
     with np.errstate(over="ignore", invalid="ignore"):
-        t, z_max, dz, c, z, u = _rank_one(params)
+        t, z_max, dz, c, z, u = _rank_one(
+            np.array(params.couplings.values), np.array(params.levels), params.beta, params.field
+        )
         if n_sites == 1:
             return t + z_max + math.log(float(np.exp(z - z_max).sum()))
         diag = np.exp(z)

@@ -224,8 +224,12 @@ class TestPerCapitaInvestment:
         # 9 w^2 / w^2 evaluates to 9.000000000000002 at w = 0.67925.
         vector = np.zeros(10)
         vector[-1] = 0.67925
-        monkeypatch.setattr(derivatives, "dominant_eigenvalue", lambda params: (0.0, vector))
-        assert per_capita_investment(params_for(10, 1.0, range(10))) == 9.0
+        monkeypatch.setattr(
+            derivatives, "_unbiased_root", lambda beta, j_min, j_span: (0.0, 1.0, vector)
+        )
+        p = params_for(10, 1.0, range(10))
+        assert per_capita_investment(p) == 9.0
+        assert sweep_curve(p, [1.0]).points == ((1.0, 9.0),)
 
 
 # Integer couplings in [-3, 3] make tied minima common.
@@ -508,6 +512,76 @@ class TestSweepCurve:
         assert info.value.beta == 2.0
         assert info.value.seed is None
         assert "beta=2.0" in str(info.value)
+
+    def test_overflow_is_caught_at_the_first_beta_that_overflows(self):
+        # -beta J_min = 1e308 still fits at beta = 1 and overflows at 2.
+        p = params_for(2, 0.0, (-1e308, 0.0))
+        assert per_capita_investment(replace(p, beta=1.0)) == 0.0
+        with pytest.raises(SweepError) as info:
+            sweep_curve(p, (0.5, 1.0, 2.0))
+        assert info.value.beta == 2.0
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "overflow" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("field", [0.0, 0.4])
+    def test_one_model_build_per_curve(self, monkeypatch, field):
+        # Only the snapshot builds a ModelParams; no beta of the grid does.
+        p = params_for(10, 0.0, [-float(k + 1) for k in range(10)], field=field)
+        builds = []
+        post_init = ModelParams.__post_init__
+
+        def counted(self):
+            builds.append(self.beta)
+            post_init(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counted)
+        curve = sweep_curve(p, np.linspace(0.0, 10.0, 200))
+        assert len(curve.points) == 200
+        assert builds == [0.0]
+
+    @given(
+        q=st.integers(2, 200),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from([None, 0.0, 1e-9, -1e-9]),
+        overflow=st.sampled_from([False, False, False, True]),
+        field=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+        betas=st.lists(beta_values, min_size=1, max_size=8, unique=True).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_points_are_the_per_point_values_bit_for_bit(
+        self, q, integer, seed, split, overflow, field, betas
+    ):
+        # Integer couplings in [-3, 3] tie often; a split of 0 or 1e-9 ties
+        # or near-ties the minimum with another level; J = -1e306 at one
+        # level overflows -beta J past beta = 180.  The sweep must round
+        # exactly as one call per beta, and fail at the same beta with the
+        # same error.
+        rng = np.random.default_rng(seed)
+        couplings = rng.integers(-3, 4, q).astype(float) if integer else rng.uniform(-3.0, 3.0, q)
+        m = int(np.argmin(couplings))
+        if split is not None:
+            couplings[(m + rng.integers(1, q)) % q] = couplings[m] + split
+        if overflow:
+            couplings[rng.integers(q)] = -1e306
+        p = params_for(q, 0.0, couplings, field=field)
+        want, failure = [], None
+        for b in betas:
+            try:
+                want.append(per_capita_investment(replace(p, beta=b)))
+            except Exception as exc:
+                failure = (b, type(exc), str(exc))
+                break
+        if failure is None:
+            curve = sweep_curve(p, betas)
+            assert [b for b, _ in curve.points] == betas
+            assert all(type(l) is float for _, l in curve.points)
+            assert [l.hex() for _, l in curve.points] == [l.hex() for l in want]
+        else:
+            with pytest.raises(SweepError) as info:
+                sweep_curve(p, betas)
+            cause = info.value.__cause__
+            assert (info.value.beta, type(cause), str(cause)) == failure
 
 
 class TestStencilConfig:

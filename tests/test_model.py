@@ -140,6 +140,24 @@ class TestPartitionFunction:
             partition_function_bruteforce(p, 25)
         assert 2**25 > ENUMERATION_STATE_CAP
 
+    def test_cap_rule_agrees_with_the_exact_state_count(self):
+        for q in range(2, 301):
+            for n in range(1, 41):
+                try:
+                    model._check_enumerable(q, n)
+                    allowed = True
+                except EnumerationCapError:
+                    allowed = False
+                assert allowed == (q**n <= ENUMERATION_STATE_CAP), (q, n)
+
+    def test_refuses_a_huge_ring_without_counting_its_states(self):
+        # 2**(10**7) would be a 1.25 MB integer; the refusal reads only logs.
+        p = params_for(2, 1.0, (0.0, 0.0))
+        with pytest.raises(EnumerationCapError):
+            partition_function_bruteforce(p, 10**7)
+        with pytest.raises(EnumerationCapError):
+            expected_investment_bruteforce(p, 10**7)
+
     def test_rejects_bad_site_counts(self):
         p = params_for(2, 1.0, (0.0, 0.0))
         with pytest.raises(ValueError):

@@ -278,6 +278,12 @@ class TestInvestmentLanes:
         assert info.value.lane == 1
 
 
+def rank_one(p):
+    """transfer._rank_one of a model, under the errstate its callers hold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return transfer._rank_one(np.array(p.couplings.values), np.array(p.levels), p.beta, p.field)
+
+
 def raw_exponents(p):
     """x_ab = -beta (J(a) [a == b] + D (d_a + d_b) / 2), with no scaling."""
     d = np.asarray(p.levels)
@@ -420,8 +426,7 @@ class TestLogPartitionFunction:
         # c = (8.8e-27, 4.9e8) and lambda_1 e^-t = 1: the cancelling form
         # sum c e + (sum c)^2 over sum c reads 4.2e-8 above it.
         p = params_for(2, 40.0, (-1.0, 0.5), field=-2.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t, _, _, c, z, _ = transfer._rank_one(p)
+        t, _, _, c, z, _ = rank_one(p)
         diag = np.exp(z)
         scaled = math.exp(dominant_eigenvalue(p)[0] - t)
         assert transfer._lambda1_floor(diag, c) <= scaled
@@ -449,8 +454,7 @@ class TestLogPartitionFunction:
         j[-1 if negative_field else 0] = dominance / beta
         p = params_for(q, beta, j, field=-field if negative_field else field)
         log_lambda1, _ = dominant_eigenvalue(p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t, _, _, c, z, _ = transfer._rank_one(p)
+        t, _, _, c, z, _ = rank_one(p)
         # The scaled entries' exponents round by about eps |t|.
         floor = transfer._lambda1_floor(np.exp(z), c)
         assert math.log(floor) <= log_lambda1 - t + 4 * EPS * (1.0 + abs(t))
@@ -554,9 +558,9 @@ class TestLogPartitionFunction:
         calls = []
         rank_one = transfer._rank_one
 
-        def counted(params):
-            calls.append(params)
-            return rank_one(params)
+        def counted(*args):
+            calls.append(args)
+            return rank_one(*args)
 
         def refuse(params):
             raise AssertionError("build_matrix called")
