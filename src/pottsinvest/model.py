@@ -1,4 +1,4 @@
-"""Ring of q-level investors: domain types, energy function, enumeration oracles.
+"""Ring of q-level investors: domain types and the enumeration oracles.
 
 N agents sit on a ring (agent N neighbours agent 1) and each picks an
 investment level sigma_i in {0, ..., q-1}, or more generally a value from a
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,6 @@ __all__ = [
     "EnumerationCapError",
     "CouplingProfile",
     "ModelParams",
-    "SpinConfig",
-    "total_investment",
-    "hamiltonian",
     "partition_function_bruteforce",
     "expected_investment_bruteforce",
 ]
@@ -45,6 +43,10 @@ _LOG_STATE_CAP = math.log(ENUMERATION_STATE_CAP)
 
 # Enumeration chunk size; bounds peak memory independent of system size.
 _BLOCK = 1 << 16
+
+# Exponents whose exp is a finite normal double.
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 class EnumerationCapError(RuntimeError):
@@ -143,46 +145,6 @@ class ModelParams:
         object.__setattr__(self, "levels", levels)
 
 
-@dataclass(frozen=True)
-class SpinConfig:
-    """One assignment of levels to the ring sites, site order preserved."""
-
-    sites: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sites = tuple(self.sites)
-        if len(sites) < 1:
-            raise ValueError("a configuration needs at least one site")
-        for s in sites:
-            if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
-                raise ValueError("site values must be non-negative integers")
-        object.__setattr__(self, "sites", tuple(int(s) for s in sites))
-
-
-def _check_config(config: SpinConfig, params: ModelParams) -> None:
-    if any(s >= params.q for s in config.sites):
-        raise ValueError(f"configuration uses levels outside 0..{params.q - 1}")
-
-
-def total_investment(config: SpinConfig, params: ModelParams) -> float:
-    """Sum of the invested values over all sites, sum_i levels[sigma_i]."""
-    _check_config(config, params)
-    return math.fsum(params.levels[s] for s in config.sites)
-
-
-def hamiltonian(config: SpinConfig, params: ModelParams) -> float:
-    """Ring energy: equal-neighbour couplings plus the bias times total investment."""
-    _check_config(config, params)
-    sites = config.sites
-    n = len(sites)
-    bond = math.fsum(
-        params.couplings.values[sites[i]]
-        for i in range(n)
-        if sites[i] == sites[(i + 1) % n]
-    )
-    return bond + params.field * total_investment(config, params)
-
-
 def _check_enumerable(q: int, n_sites: int) -> int:
     """``n_sites`` as an int, if the oracles may walk all q**n_sites states.
 
@@ -212,6 +174,7 @@ def _config_blocks(q: int, n_sites: int):
 
 
 def _block_energy_and_total(block: np.ndarray, params: ModelParams):
+    """H and the invested total of each configuration (row) of a (block, n_sites) array."""
     j = np.asarray(params.couplings.values)
     lev = np.asarray(params.levels)
     nbr = np.roll(block, -1, axis=1)
@@ -220,31 +183,62 @@ def _block_energy_and_total(block: np.ndarray, params: ModelParams):
     return bond + params.field * total, total
 
 
+def _gibbs_sums(params: ModelParams, n_sites: int) -> tuple[float, float, float]:
+    """Walk all q**n_sites ring configurations: (s, m, t) with Z_N = s exp(-beta m).
+
+    m is the least energy seen, and each configuration weighs exp(-beta (E
+    - m)) <= 1 against it, a streaming log-sum-exp: when a block lowers m,
+    the sums so far shrink by exp(-beta (m_old - m_new)).  So 1 <= s <=
+    q**n_sites, and t = sum of total * weight gives <total> = t / s without
+    overflow at any beta.  At beta = 0 every weight is exactly 1 and s is
+    the exact state count.
+    """
+    s = t = 0.0
+    m = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _config_blocks(params.q, n_sites):
+            energy, total = _block_energy_and_total(block, params)
+            low = float(energy.min())
+            if low < m:
+                if s:
+                    shrink = math.exp(-params.beta * (m - low))
+                    s, t = s * shrink, t * shrink
+                m = low
+            w = np.exp(-params.beta * (energy - m))
+            s += float(w.sum())
+            t += float((total * w).sum())
+    # The least-energy state weighs exactly 1, so only an energy or total
+    # that overflowed (levels or couplings near the double range) fails this.
+    if not (s >= 1.0 and math.isfinite(t)):
+        raise ValueError("configuration energies or totals overflow; reduce J, D or levels")
+    return s, m, t
+
+
 def partition_function_bruteforce(params: ModelParams, n_sites: int) -> float:
     """Exact partition sum Z_N = sum over all configurations of exp(-beta * H).
 
     Strictly positive.  Intended for small rings; raises
-    :class:`EnumerationCapError` beyond ``ENUMERATION_STATE_CAP`` states.
+    :class:`EnumerationCapError` beyond ``ENUMERATION_STATE_CAP`` states,
+    and ``OverflowError``, naming log Z_N, where Z_N leaves the range of
+    normal doubles.
     """
-    n_sites = _check_enumerable(params.q, n_sites)
-    z = 0.0
-    for block in _config_blocks(params.q, n_sites):
-        energy, _ = _block_energy_and_total(block, params)
-        z += float(np.exp(-params.beta * energy).sum())
+    s, m, _ = _gibbs_sums(params, _check_enumerable(params.q, n_sites))
+    x = -params.beta * m
+    # A subnormal exp(x) holds too few bits; s >= 1 keeps the product normal.
+    z = s * math.exp(x) if _LOG_TINY <= x <= _LOG_HUGE else math.inf
+    if z == math.inf:
+        raise OverflowError(
+            f"Z_N = exp({math.log(s) + x!r}) leaves the double range; "
+            "log_partition_function gives log Z_N"
+        )
     return z
 
 
 def expected_investment_bruteforce(params: ModelParams, n_sites: int) -> float:
     """Gibbs-average invested value per site, <sum_i levels[sigma_i]> / N.
 
-    Always lies inside [levels[0], levels[q-1]].
+    Always lies inside [levels[0], levels[q-1]], at any beta.
     """
     n_sites = _check_enumerable(params.q, n_sites)
-    z = 0.0
-    weighted = 0.0
-    for block in _config_blocks(params.q, n_sites):
-        energy, total = _block_energy_and_total(block, params)
-        w = np.exp(-params.beta * energy)
-        z += float(w.sum())
-        weighted += float((total * w).sum())
-    return weighted / (z * n_sites)
+    s, _, t = _gibbs_sums(params, n_sites)
+    return t / (s * n_sites)

@@ -17,7 +17,7 @@ transition per draw is:
     z      = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2**64
     output = z ^ (z >> 31)
 
-and uniform() maps the top 53 bits to [0, 1) as (output >> 11) / 2**53.
+and a uniform draw on [0, 1) takes the top 53 bits, (output >> 11) / 2**53.
 
 An ensemble sweep lays every (seed, beta) point out as one lane (column) of
 a level-major block of exponent gaps -beta (J - J_min) and solves the lanes
@@ -39,7 +39,6 @@ from .model import CouplingProfile, ModelParams, _count
 from .transfer import ConvergenceError, investment_lanes
 
 __all__ = [
-    "SplitMix64",
     "ProfileSpec",
     "make_profile",
     "ensemble_sweep",
@@ -58,30 +57,11 @@ ProfileKind = Literal["aggressive", "conservative", "random"]
 _KINDS = ("aggressive", "conservative", "random")
 
 
-def _mix(z):
-    """SplitMix64 output for state z: a Python int, or a uint64 array mixed elementwise.
-
-    uint64 arrays wrap modulo 2**64 on their own, so the masks only matter
-    for Python ints.
-    """
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 output for each state of a uint64 array; uint64 wraps modulo 2**64."""
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Deterministic 64-bit generator with the documented state transition."""
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
-
-    def uniform(self) -> float:
-        """Uniform draw on [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -117,10 +97,10 @@ def make_profile(spec: ProfileSpec) -> CouplingProfile:
 def _random_couplings(q: int, seeds: Sequence[int]) -> np.ndarray:
     """Random-profile couplings for every seed at once, as an (n_seeds, q) array.
 
-    Row i holds the q draws floor(u * q), clamped to q - 1, of
-    ``SplitMix64(seeds[i])``, bit for bit: draw k of a seed mixes the state
-    seed + k * 0x9E3779B97F4A7C15 modulo 2**64, so every state of every seed
-    is formed and mixed in one uint64 pass.
+    Row i holds the first q draws floor(u * q), clamped to q - 1, of the
+    generator seeded with seeds[i] modulo 2**64: draw k of a seed mixes the
+    state seed + k * 0x9E3779B97F4A7C15 modulo 2**64, so every state of
+    every seed is formed and mixed in one uint64 pass.
     """
     start = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
     states = start[:, None] + np.arange(1, q + 1, dtype=np.uint64) * np.uint64(_GAMMA)

@@ -6,10 +6,10 @@ The ring partition sum factorises through a symmetric q x q matrix M with
 
 so that Z_N = Tr M^N = sum_i lambda_i^N.  Raw entries overflow double
 precision quickly (strongly negative couplings with beta of a few hundred
-push exponents past 700), so the matrix is stored rescaled: entries hold
-exp(x_ab - s) with s the largest raw exponent, and s is carried separately
-as ``log_scale``.  The maximal rescaled entry is exactly 1 and every
-spectral quantity is reported either rescaled or in log space.
+push exponents past 700), so every route works from the exponents and
+scales the matrix by its largest entry, exp(t), which is carried
+separately; every spectral quantity is reported either rescaled or in log
+space.
 
 At any bias M = diag(e) + s s^T with s_a = exp(-beta D d_a / 2) and e_a =
 s_a^2 (exp(-beta J(a)) - 1), a rank-one update of a diagonal matrix, so its
@@ -23,14 +23,12 @@ step and sum is elementwise across lanes.  log Z_N decides its route once
 from the same O(q) decomposition: N = 1 from the diagonal exponents; N log
 lambda_1 when interlacing and a lower bound on lambda_1 prove the rest of
 the spectrum below rounding; otherwise Tr M^N of the positive rescaled
-matrix by binary powering, where nothing cancels.  :func:`build_matrix`
-forms the matrix independently, as the tests' oracle for every route.
+matrix by binary powering, where nothing cancels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +36,6 @@ from .model import ModelParams, _count
 
 __all__ = [
     "ConvergenceError",
-    "build_matrix",
     "dominant_eigenvalue",
     "log_partition_function",
 ]
@@ -66,33 +63,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """Rescaled transfer matrix: true matrix = entries * exp(log_scale)."""
-
-    entries: np.ndarray
-    log_scale: float
-
-
-def build_matrix(params: ModelParams) -> TransferMatrix:
-    """Construct the rescaled transfer matrix for the given parameters.
-
-    The scale is the largest raw exponent, which puts the largest entry at
-    exactly 1.
-    """
-    lev = np.asarray(params.levels)
-    # Overflow to inf/nan here is caught by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        bj = params.beta * np.asarray(params.couplings.values)
-        bf = params.beta * params.field
-        # lev[a] + lev[b] is bitwise symmetric, so x and exp(x - s) are
-        # exactly symmetric matrices with no per-pair bookkeeping.
-        x = -(0.5 * bf) * (lev[:, None] + lev[None, :]) - np.diag(bj)
-    _require_finite(x)
-    s = float(x.max())
-    return TransferMatrix(np.exp(x - s), s)
 
 
 _OVERFLOW = "transfer-matrix exponents overflow; reduce beta*J or beta*D"
@@ -428,10 +398,10 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     Every other ring takes :func:`_log_trace_power` of exp(-t) M, formed
     from the same exponents as exp(z_a) on the diagonal and exp((u_a +
     u_b) / 2) off it, never as s_a s_b, which overflows where the matrix
-    does not, and never by :func:`build_matrix`.  The matrix is entrywise
-    positive, so odd rings whose eigenvalues of both signs cancel in sum_i
-    lambda_i^N lose no digits; only a trace that underflows below the
-    smallest normal double raises :class:`ConvergenceError`.
+    does not.  The matrix is entrywise positive, so odd rings whose
+    eigenvalues of both signs cancel in sum_i lambda_i^N lose no digits;
+    only a trace that underflows below the smallest normal double raises
+    :class:`ConvergenceError`.
     """
     n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
     with np.errstate(over="ignore", invalid="ignore"):

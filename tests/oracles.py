@@ -1,0 +1,120 @@
+"""Reference implementations the tests check the library against.
+
+Each is written for reading, not speed, and shares no code with the
+package beyond the parameter types: the energy of one configuration, the
+dense transfer matrix, the pinned random generator, the secular equation
+in decimal arithmetic, and a second enumeration of the Gibbs average.
+"""
+
+import itertools
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+
+_MASK64 = (1 << 64) - 1
+
+
+def energy(sites, params):
+    """Ring energy: equal-neighbour couplings plus the bias times the invested total.
+
+    H = sum_i J(sigma_i) [sigma_i == sigma_{i+1}] + D sum_i d(sigma_i), the
+    index wrapping around the ring, each sum exactly rounded.
+    """
+    n = len(sites)
+    bond = math.fsum(
+        params.couplings.values[sites[i]] for i in range(n) if sites[i] == sites[(i + 1) % n]
+    )
+    return bond + params.field * math.fsum(params.levels[s] for s in sites)
+
+
+def dense_matrix(params):
+    """(entries, log_scale): the transfer matrix is entries * exp(log_scale).
+
+    M[a][b] = exp(-beta (J(a) [a == b] + D (d_a + d_b) / 2)), scaled by its
+    largest raw exponent so that the largest entry is exactly 1.  Raises
+    ValueError where an exponent overflows.
+    """
+    lev = np.asarray(params.levels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bj = params.beta * np.asarray(params.couplings.values)
+        bf = params.beta * params.field
+        # lev[a] + lev[b] is bitwise symmetric, so x and exp(x - s) are
+        # exactly symmetric matrices.
+        x = -(0.5 * bf) * (lev[:, None] + lev[None, :]) - np.diag(bj)
+    if not np.isfinite(x).all():
+        raise ValueError("transfer-matrix exponents overflow")
+    s = float(x.max())
+    return np.exp(x - s), s
+
+
+class SplitMix64:
+    """The random profile's 64-bit generator, one Python-int draw at a time."""
+
+    def __init__(self, seed):
+        self._state = int(seed) & _MASK64
+
+    def next_uint64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        """Uniform draw on [0, 1) with 53 random bits."""
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+
+def secular_oracle(params):
+    """l(beta, D) from the secular equation in decimal arithmetic on the exact float inputs.
+
+    M = diag(e) + s s^T with c_a = s_a^2 = exp(-beta D d_a) and e_a =
+    exp(-beta (J(a) + D d_a)) - c_a, so lambda_1 = e_max + nu with nu > 0
+    the root of sum_a c_a / (nu + Delta_a) = 1, Delta_a = e_max - e_a, and
+    l = sum_a d_a c_a w_a^2 / sum_a c_a w_a^2 with w_a = 1 / (nu + Delta_a).
+    Newton runs on the reciprocal of the sum from nu = c_m, where Delta_m =
+    0 and the sum is at least 1, so it climbs to the root from below.  Every
+    float converts to Decimal exactly, and 40 digits plus the entries'
+    exponent span in decades keep each gap Delta_a to far more digits than
+    a float holds, however close e_a is to e_max.
+    """
+    y_float = -params.beta * params.field * np.array(params.levels)
+    x_float = y_float - params.beta * np.array(params.couplings.values)
+    span = max(x_float.max(), y_float.max()) - min(x_float.min(), y_float.min())
+    beta, field = Decimal(params.beta), Decimal(params.field)
+    levels = [Decimal(v) for v in params.levels]
+    with localcontext() as ctx:
+        ctx.prec = 40 + int(span / math.log(10.0))
+        y = [-beta * field * d for d in levels]
+        x = [ya - beta * Decimal(j) for ya, j in zip(y, params.couplings.values)]
+        c = [ya.exp() for ya in y]
+        e = [xa.exp() - ca for xa, ca in zip(x, c)]
+        e_max = max(e)
+        delta = [e_max - ea for ea in e]
+        nu = c[delta.index(0)]
+        tol = Decimal(10) ** (10 - ctx.prec)
+        for _ in range(1000):
+            w = [1 / (nu + da) for da in delta]
+            s1 = sum(ca * wa for ca, wa in zip(c, w))
+            s2 = sum(ca * wa * wa for ca, wa in zip(c, w))
+            step = (s1 - 1) * s1 / s2
+            nu += step
+            if step <= tol * nu:
+                break
+        else:
+            raise AssertionError("decimal Newton did not settle")
+        weights = [ca / (nu + da) ** 2 for ca, da in zip(c, delta)]
+        return float(sum(d * wa for d, wa in zip(levels, weights)) / sum(weights))
+
+
+def reference_expected_investment(params, n):
+    """Second, independent enumeration: pure Python, reversed visit order."""
+    weighted = []
+    weights = []
+    for sites in reversed(list(itertools.product(range(params.q), repeat=n))):
+        total = sum(params.levels[s] for s in sites)
+        w = math.exp(-params.beta * energy(sites, params))
+        weights.append(w)
+        weighted.append(total * w)
+    return math.fsum(weighted) / (math.fsum(weights) * n)

@@ -1,7 +1,8 @@
-"""Energy function and brute-force enumeration oracles."""
+"""The enumeration's energy rule and the brute-force oracles built on it."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from pottsinvest import (
     CouplingProfile,
     EnumerationCapError,
     ModelParams,
-    SpinConfig,
-    build_matrix,
     expected_investment_bruteforce,
-    hamiltonian,
+    log_partition_function,
     partition_function_bruteforce,
-    total_investment,
 )
+from oracles import dense_matrix, energy, reference_expected_investment
 
 
 def params_for(q, beta, couplings, field=0.0, levels=None):
@@ -31,59 +30,67 @@ def params_for(q, beta, couplings, field=0.0, levels=None):
     )
 
 
-def reference_expected_investment(params, n):
-    """Second, independent enumeration: pure Python, reversed visit order."""
-    weighted = []
-    weights = []
-    for sites in reversed(list(itertools.product(range(params.q), repeat=n))):
-        bond = sum(
-            params.couplings.values[sites[i]]
-            for i in range(n)
-            if sites[i] == sites[(i + 1) % n]
-        )
-        total = sum(params.levels[s] for s in sites)
-        w = math.exp(-params.beta * (bond + params.field * total))
-        weights.append(w)
-        weighted.append(total * w)
-    return math.fsum(weighted) / (math.fsum(weights) * n)
+def block_form(sites, params):
+    """(energy, total) of one configuration as the enumeration computes them."""
+    energies, totals = model._block_energy_and_total(np.array([sites]), params)
+    return float(energies[0]), float(totals[0])
 
 
 class TestTotalInvestment:
     def test_all_zero_configuration(self):
         p = params_for(3, 1.0, (0.0, 0.0, 0.0))
-        assert total_investment(SpinConfig((0, 0, 0)), p) == 0.0
+        assert block_form((0, 0, 0), p)[1] == 0.0
 
     def test_maximal_configuration(self):
         p = params_for(3, 1.0, (0.0, 0.0, 0.0))
-        assert total_investment(SpinConfig((2, 2, 2, 2)), p) == 8.0
+        assert block_form((2, 2, 2, 2), p)[1] == 8.0
 
     def test_mixed_configuration(self):
         p = params_for(2, 1.0, (0.0, 0.0))
-        assert total_investment(SpinConfig((0, 1, 0, 1, 1)), p) == 3.0
+        assert block_form((0, 1, 0, 1, 1), p)[1] == 3.0
 
     def test_respects_custom_levels(self):
         p = params_for(2, 1.0, (0.0, 0.0), levels=(-1.5, 2.5))
-        assert total_investment(SpinConfig((0, 1, 1)), p) == 3.5
+        assert block_form((0, 1, 1), p)[1] == 3.5
 
 
 class TestHamiltonian:
+    """The enumeration's block form against the readable per-configuration rule."""
+
     def test_uniform_ring_counts_every_bond(self):
         p = params_for(2, 1.0, (0.7, -0.2))
-        assert hamiltonian(SpinConfig((0, 0, 0)), p) == pytest.approx(3 * 0.7, abs=1e-15)
+        assert block_form((0, 0, 0), p)[0] == pytest.approx(3 * 0.7, abs=1e-15)
+        assert energy((0, 0, 0), p) == pytest.approx(3 * 0.7, abs=1e-15)
 
     def test_alternating_ring_has_no_equal_pairs(self):
         p = params_for(2, 1.0, (1.0, -1.0))
-        assert hamiltonian(SpinConfig((0, 1, 0, 1)), p) == 0.0
+        assert block_form((0, 1, 0, 1), p)[0] == energy((0, 1, 0, 1), p) == 0.0
 
     def test_two_site_ring_double_counts_its_bond(self):
         # Sites 1-2 and 2-1 are distinct ring bonds, so the pair interacts twice.
         p = params_for(3, 1.0, (0.0, 0.0, 5.0), field=2.0)
-        assert hamiltonian(SpinConfig((2, 2)), p) == 18.0
+        assert block_form((2, 2), p)[0] == energy((2, 2), p) == 18.0
 
-    def test_rejects_out_of_range_level(self):
-        p = params_for(2, 1.0, (0.0, 0.0))
-        with pytest.raises(ValueError, match="outside"):
-            hamiltonian(SpinConfig((0, 2)), p)
+    @pytest.mark.parametrize(
+        "q,n,couplings,field,levels",
+        [
+            (2, 1, (0.7, -0.2), 0.0, None),
+            (3, 2, (0.0, -1.5, 5.0), 2.0, None),
+            (2, 3, (1.0, -1.0), -0.3, (-1.5, 2.5)),
+            (3, 4, (-0.4, 1.3, 0.2), 0.7, (0.0, 0.5, 3.0)),
+            (2, 5, (2.0, -2.0), 1.1, None),
+            (4, 6, (0.3, -1.2, 0.9, 2.0), -0.77, (-2.0, -1.0, 0.25, 4.0)),
+        ],
+    )
+    def test_block_form_matches_the_readable_rule(self, q, n, couplings, field, levels):
+        # Every configuration of the ring; the block sums bonds and levels in
+        # array order and the rule in exact fsum, so they agree to rounding.
+        p = params_for(q, 1.0, couplings, field=field, levels=levels)
+        configs = np.array(list(itertools.product(range(q), repeat=n)))
+        energies, totals = model._block_energy_and_total(configs, p)
+        for sites, got, total in zip(configs.tolist(), energies, totals):
+            assert got == pytest.approx(energy(sites, p), rel=1e-15, abs=1e-13)
+            assert total == pytest.approx(math.fsum(p.levels[s] for s in sites), abs=1e-13)
 
     @given(
         q=st.integers(2, 5),
@@ -100,8 +107,11 @@ class TestHamiltonian:
         shift = data.draw(st.integers(0, n - 1))
         rotated = tuple(sites[(i + shift) % n] for i in range(n))
         # Rotation permutes the same bond and site terms; fsum is exactly
-        # rounded, so the energies agree bit for bit.
-        assert hamiltonian(SpinConfig(rotated), p) == hamiltonian(SpinConfig(tuple(sites)), p)
+        # rounded, so the rule's energies agree bit for bit, and the block
+        # form, which sums in site order, agrees to rounding.
+        want = energy(tuple(sites), p)
+        assert energy(rotated, p) == want
+        assert block_form(rotated, p)[0] == pytest.approx(want, rel=1e-14, abs=1e-13)
 
 
 class TestPartitionFunction:
@@ -117,9 +127,9 @@ class TestPartitionFunction:
     def test_matches_transfer_matrix_trace(self):
         p = params_for(2, 0.7, (1.0, -1.0), field=0.3)
         z = partition_function_bruteforce(p, 4)
-        m = build_matrix(p)
-        lam = np.linalg.eigvalsh(m.entries)
-        trace = float(np.sum(lam**4)) * math.exp(4 * m.log_scale)
+        entries, log_scale = dense_matrix(p)
+        lam = np.linalg.eigvalsh(entries)
+        trace = float(np.sum(lam**4)) * math.exp(4 * log_scale)
         assert z == pytest.approx(trace, rel=1e-10)
 
     @given(
@@ -164,6 +174,50 @@ class TestPartitionFunction:
             partition_function_bruteforce(p, 0)
         with pytest.raises(ValueError):
             partition_function_bruteforce(p, -3)
+
+
+class TestLargeBeta:
+    """Each configuration weighs against the least energy seen, so l never overflows."""
+
+    @staticmethod
+    def raised_log_z(p, n):
+        with pytest.raises(OverflowError, match="leaves the double range") as info:
+            partition_function_bruteforce(p, n)
+        return float(re.search(r"exp\((.*?)\)", str(info.value)).group(1))
+
+    def test_bound_ring_past_the_largest_double(self):
+        # Z_3 = 2 e^900 (1 + 3 e^-600): the two uniform states carry it.
+        p = params_for(2, 300.0, (-1.0, -1.0))
+        assert expected_investment_bruteforce(p, 3) == 0.5
+        log_z = log_partition_function(p, 3)
+        assert log_z == pytest.approx(900.0 + math.log(2.0), rel=1e-15)
+        assert self.raised_log_z(p, 3) == pytest.approx(log_z, rel=1e-15)
+
+    def test_contrarian_ring_below_the_least_double(self):
+        # Z_3 = 6 e^-900: six states of one equal bond, totals 1 or 2 each.
+        p = params_for(2, 300.0, (3.0, 3.0))
+        assert expected_investment_bruteforce(p, 3) == pytest.approx(0.5, abs=1e-15)
+        assert self.raised_log_z(p, 3) == pytest.approx(-900.0 + math.log(6.0), rel=1e-15)
+
+    def test_lower_minimum_in_a_later_block(self):
+        # 2**17 states walk in two blocks; the unique ground state, all sites
+        # at level 1, is the last one, so the first block's sums shrink.
+        p = params_for(2, 300.0, (1.0, -1.0))
+        assert expected_investment_bruteforce(p, 17) == 1.0
+        p = params_for(2, 0.4, (1.0, -1.0), field=0.1)
+        mirrored = params_for(2, 0.4, (-1.0, 1.0), field=-0.1)
+        z = partition_function_bruteforce(p, 17)
+        assert math.log(z) == pytest.approx(log_partition_function(p, 17), rel=1e-13)
+        lhs = expected_investment_bruteforce(p, 17)
+        assert lhs == pytest.approx(1.0 - expected_investment_bruteforce(mirrored, 17), abs=1e-13)
+
+    @pytest.mark.parametrize("beta,couplings", [(1.0, (-1e308, 0.0)), (0.0, (1e308, 0.0))])
+    def test_overflowing_energies_raise(self, beta, couplings):
+        # Three bonds of 1e308 sum to an infinite energy.
+        p = params_for(2, beta, couplings)
+        for oracle in (partition_function_bruteforce, expected_investment_bruteforce):
+            with pytest.raises(ValueError, match="overflow"):
+                oracle(p, 3)
 
 
 class TestExpectedInvestment:
@@ -288,30 +342,22 @@ class TestValidation:
         p = params_for(4, 1.0, range(4))
         assert p.levels == (0.0, 1.0, 2.0, 3.0)
 
-    def test_spin_config_rejects_negative_sites(self):
-        with pytest.raises(ValueError):
-            SpinConfig((0, -1))
-
-    def test_spin_config_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SpinConfig(())
-
 
 class TestPackage:
     NAMES = {
         "ENUMERATION_STATE_CAP", "ConvergenceError", "CouplingProfile",
         "EnumerationCapError", "InvestmentCurve", "LimitClassification", "ModelParams",
         "ProfileSpec", "Q3_CASE1_POSITIVE_J_LIMIT", "Q3_CASE3_POSITIVE_J_LIMIT",
-        "SpinConfig", "SplitMix64", "StencilConfig", "SweepError", "build_matrix",
-        "central_difference", "classify_limits", "dominant_eigenvalue", "ensemble_sweep",
-        "expected_investment_bruteforce", "hamiltonian", "investment_at_beta_infinity",
-        "investment_q2", "investment_q3_case1", "investment_q3_case2", "investment_q3_case3",
-        "log_partition_function", "make_profile", "partition_function_bruteforce",
-        "per_capita_investment", "richardson_difference", "sweep_curve", "total_investment",
+        "StencilConfig", "SweepError", "central_difference", "classify_limits",
+        "dominant_eigenvalue", "ensemble_sweep", "expected_investment_bruteforce",
+        "investment_at_beta_infinity", "investment_q2", "investment_q3_case1",
+        "investment_q3_case2", "investment_q3_case3", "log_partition_function",
+        "make_profile", "partition_function_bruteforce", "per_capita_investment",
+        "richardson_difference", "sweep_curve",
     }
 
     def test_exports_exactly_the_public_names(self):
-        assert len(self.NAMES) == 33
+        assert len(self.NAMES) == 28
         assert set(pottsinvest.__all__) == self.NAMES
 
     def test_each_name_is_its_one_module_object(self):

@@ -11,20 +11,21 @@ from pottsinvest import (
     ConvergenceError,
     CouplingProfile,
     ModelParams,
-    build_matrix,
     dominant_eigenvalue,
     log_partition_function,
     partition_function_bruteforce,
     transfer,
 )
+from oracles import dense_matrix
 
 
 def params_for(q, beta, couplings, field=0.0):
     return ModelParams(q=q, beta=beta, couplings=CouplingProfile(tuple(couplings)), field=field)
 
 
-def raw_matrix(m):
-    return m.entries * math.exp(m.log_scale)
+def raw_matrix(p):
+    entries, log_scale = dense_matrix(p)
+    return entries * math.exp(log_scale)
 
 
 def logsumexp(x):
@@ -33,27 +34,29 @@ def logsumexp(x):
 
 
 class TestBuildMatrix:
+    """The dense reference matrix against the entries' closed forms."""
+
     def test_infinite_temperature_gives_all_ones(self):
-        m = build_matrix(params_for(4, 0.0, (1.0, -2.0, 0.3, 5.0), field=0.9))
-        assert m.log_scale == 0.0
-        assert np.array_equal(m.entries, np.ones((4, 4)))
+        entries, log_scale = dense_matrix(params_for(4, 0.0, (1.0, -2.0, 0.3, 5.0), field=0.9))
+        assert log_scale == 0.0
+        assert np.array_equal(entries, np.ones((4, 4)))
 
     def test_two_level_entries(self):
         beta, j0, j1, d = 0.8, 0.6, -0.4, 0.3
-        m = build_matrix(params_for(2, beta, (j0, j1), field=d))
+        p = params_for(2, beta, (j0, j1), field=d)
         want = np.array(
             [
                 [math.exp(-beta * j0), math.exp(-beta * d / 2)],
                 [math.exp(-beta * d / 2), math.exp(-beta * j1 - beta * d)],
             ]
         )
-        assert raw_matrix(m) == pytest.approx(want, rel=1e-12)
+        assert raw_matrix(p) == pytest.approx(want, rel=1e-12)
 
     def test_three_level_entries_single_top_coupling(self):
         beta, j, d = 1.1, 0.7, 0.4
         x = math.exp(-beta * j)
         y = math.exp(-beta * d / 2)
-        m = build_matrix(params_for(3, beta, (0.0, 0.0, j), field=d))
+        p = params_for(3, beta, (0.0, 0.0, j), field=d)
         want = np.array(
             [
                 [1.0, y, y**2],
@@ -61,30 +64,30 @@ class TestBuildMatrix:
                 [y**2, y**3, x * y**4],
             ]
         )
-        assert raw_matrix(m) == pytest.approx(want, rel=1e-12)
+        assert raw_matrix(p) == pytest.approx(want, rel=1e-12)
 
     def test_entries_exactly_symmetric(self):
-        m = build_matrix(params_for(5, 1.7, (0.3, -1.2, 0.9, 2.0, -0.5), field=0.77))
-        assert np.array_equal(m.entries, m.entries.T)
+        entries, _ = dense_matrix(params_for(5, 1.7, (0.3, -1.2, 0.9, 2.0, -0.5), field=0.77))
+        assert np.array_equal(entries, entries.T)
 
     def test_scaled_maximum_is_one(self):
-        m = build_matrix(params_for(3, 6.0, (-4.0, 1.0, -2.0), field=-0.6))
-        assert float(m.entries.max()) == 1.0
-        assert float(m.entries.min()) > 0.0
+        entries, _ = dense_matrix(params_for(3, 6.0, (-4.0, 1.0, -2.0), field=-0.6))
+        assert float(entries.max()) == 1.0
+        assert float(entries.min()) > 0.0
 
     def test_invariant_under_compensated_rescaling(self):
         # Halving beta while doubling J and D leaves every raw exponent
         # unchanged, so the scaled matrices agree bit for bit.
         j = (0.7, -0.4, 1.1)
-        a = build_matrix(params_for(3, 1.3, j, field=0.9))
-        b = build_matrix(params_for(3, 0.65, [2 * v for v in j], field=1.8))
-        assert np.array_equal(a.entries, b.entries)
-        assert a.log_scale == b.log_scale
+        a, a_scale = dense_matrix(params_for(3, 1.3, j, field=0.9))
+        b, b_scale = dense_matrix(params_for(3, 0.65, [2 * v for v in j], field=1.8))
+        assert np.array_equal(a, b)
+        assert a_scale == b_scale
 
     def test_rejects_overflowing_exponents(self):
         p = params_for(2, 1e160, (-1e160, 0.0))
         with pytest.raises(ValueError, match="overflow"):
-            build_matrix(p)
+            dense_matrix(p)
 
 
 class TestDominantEigenvalue:
@@ -119,10 +122,10 @@ class TestDominantEigenvalue:
 
     def test_residual_within_tolerance(self):
         p = params_for(3, 1.5, (0.4, -0.9, 0.2))
-        m = build_matrix(p)
+        entries, log_scale = dense_matrix(p)
         value_log, vector = dominant_eigenvalue(p)
-        scaled = math.exp(value_log - m.log_scale)
-        resid = float(np.max(np.abs(m.entries @ vector - scaled * vector)))
+        scaled = math.exp(value_log - log_scale)
+        resid = float(np.max(np.abs(entries @ vector - scaled * vector)))
         assert resid <= 1e-13 * max(1.0, scaled)
 
     def test_huge_exponents_stay_finite(self):
@@ -141,10 +144,10 @@ class TestDominantEigenvalue:
     def test_matches_dense_eigensolver(self, q, beta, seed):
         j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
         p = params_for(q, beta, j)
-        m = build_matrix(p)
-        values, vectors = np.linalg.eigh(m.entries)
+        entries, log_scale = dense_matrix(p)
+        values, vectors = np.linalg.eigh(entries)
         value_log, vector = dominant_eigenvalue(p)
-        assert value_log == pytest.approx(math.log(values[-1]) + m.log_scale, abs=1e-13 * q)
+        assert value_log == pytest.approx(math.log(values[-1]) + log_scale, abs=1e-13 * q)
         # eigh's own eigenvector error grows like eps / (relative gap), so a
         # near tie at the coupling minimum loosens what the reference can show.
         rel_gap = (values[-1] - values[-2]) / values[-1]
@@ -162,10 +165,10 @@ class TestDominantEigenvalue:
         # of orders of magnitude, one of them far above lambda_1.
         j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
         p = params_for(q, 10.0**log_beta, j, field=field)
-        m = build_matrix(p)
-        values, vectors = np.linalg.eigh(m.entries)
+        entries, log_scale = dense_matrix(p)
+        values, vectors = np.linalg.eigh(entries)
         value_log, vector = dominant_eigenvalue(p)
-        want = math.log(values[-1]) + m.log_scale
+        want = math.log(values[-1]) + log_scale
         assert value_log == pytest.approx(want, abs=1e-13 * q * max(1.0, abs(want)))
         assert (vector >= 0.0).all()
         rel_gap = (values[-1] - values[-2]) / values[-1]
@@ -192,9 +195,9 @@ class TestDominantEigenvalue:
     def test_extreme_bias_weights_settle_fast(self, monkeypatch, couplings, beta, field):
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 4)
         p = params_for(len(couplings), beta, couplings, field=field)
-        m = build_matrix(p)
+        entries, log_scale = dense_matrix(p)
         value_log, _ = dominant_eigenvalue(p)
-        want = math.log(np.linalg.eigvalsh(m.entries)[-1]) + m.log_scale
+        want = math.log(np.linalg.eigvalsh(entries)[-1]) + log_scale
         assert value_log == pytest.approx(want, rel=1e-14)
 
     def test_settles_within_six_newton_steps_on_the_readme_grid(self, monkeypatch):
@@ -302,8 +305,8 @@ def raw_log_trace(x, n):
 
 def spectral_log_z(p, n):
     """log Z_N summed from the eigvalsh spectrum, and how much its signed terms cancel."""
-    m = build_matrix(p)
-    lam = np.linalg.eigvalsh(m.entries)
+    entries, log_scale = dense_matrix(p)
+    lam = np.linalg.eigvalsh(entries)
     lam = lam[lam != 0.0]
     logs = n * np.log(np.abs(lam))
     shift = float(logs.max())
@@ -311,7 +314,7 @@ def spectral_log_z(p, n):
     total = float(terms.sum())
     if total <= 0.0:
         return math.nan, math.inf
-    return n * m.log_scale + shift + math.log(total), float(np.abs(terms).sum()) / total
+    return n * log_scale + shift + math.log(total), float(np.abs(terms).sum()) / total
 
 
 def ring_couplings(q, seed, tie):
@@ -562,17 +565,13 @@ class TestLogPartitionFunction:
             calls.append(args)
             return rank_one(*args)
 
-        def refuse(params):
-            raise AssertionError("build_matrix called")
-
         monkeypatch.setattr(transfer, "_rank_one", counted)
-        monkeypatch.setattr(transfer, "build_matrix", refuse)
         log_partition_function(params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3), 2000)
         assert len(calls) == 1
 
     @staticmethod
     def spied_log_z(monkeypatch, p, n):
-        """log Z_N, and the private route functions it called in order; build_matrix refused."""
+        """log Z_N, and the private route functions it called in order."""
         calls = []
 
         def spy(name, f):
@@ -582,12 +581,8 @@ class TestLogPartitionFunction:
 
             monkeypatch.setattr(transfer, name, counted)
 
-        def refuse(params):
-            raise AssertionError("build_matrix called")
-
         for name in ("_rank_one", "_weighted_root", "_log_trace_power"):
             spy(name, getattr(transfer, name))
-        monkeypatch.setattr(transfer, "build_matrix", refuse)
         return log_partition_function(p, n), calls
 
     @pytest.mark.parametrize("n,solves", [(2, False), (3, False), (8, False)])
