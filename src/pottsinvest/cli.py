@@ -6,8 +6,11 @@ ensembles, where the pointwise mean series is tagged ``seed=mean``).  With
 ``--compare`` the numeric curve is evaluated against the matching exact
 closed form (q = 2, or the three integrable q = 3 coupling patterns) and
 the per-point absolute error is emitted instead.  Every l(beta) comes from
-the exact secular-equation path of :func:`.derivatives.per_capita_investment`;
-the finite-difference stencil is a library-only cross-check.
+the exact secular equation: a single curve's points from
+:func:`.derivatives.sweep_curve`, bit for bit
+:func:`.derivatives.per_capita_investment`, and an ensemble's from the
+batched lanes of :func:`.transfer.investment_lanes`; the finite-difference
+stencil is a library-only cross-check.
 
 Settings come from flags, from a ``key=value`` file via ``--config``
 (``#`` starts a comment), or both.  Every long flag except ``--config`` is
@@ -26,6 +29,7 @@ error too.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -39,9 +43,9 @@ from .closedform import (
     investment_q3_case2,
     investment_q3_case3,
 )
-from .derivatives import InvestmentCurve, SweepError, sweep_curve
+from .derivatives import SweepError, sweep_curve
 from .model import ModelParams
-from .profiles import ProfileSpec, ensemble_sweep, make_profile
+from .profiles import ProfileSpec, _ensemble_values, _member_params, make_profile
 
 __all__ = ["ConfigError", "main"]
 
@@ -64,7 +68,9 @@ def _list_of(kind):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The flag parser, built on first use and shared by every later call."""
     p = argparse.ArgumentParser(
         prog="pottsinvest",
         description="Sweep the per-capita investment curve l(beta) of a ring "
@@ -260,31 +266,31 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _curve_rows(curve: InvestmentCurve, betas: list[str], suffix: str = "") -> list[str]:
-    """CSV rows of a curve, with its beta column already formatted by repr."""
-    return [f"{b},{val!r}{suffix}" for b, (_, val) in zip(betas, curve.points)]
+def _rows(betas: list[str], values: list[float], suffix: str = "") -> list[str]:
+    """CSV rows of one series, with its beta column already formatted by repr."""
+    return [f"{b},{val!r}{suffix}" for b, val in zip(betas, values)]
 
 
 def _run_single(args: argparse.Namespace, grid: list[float]) -> list[str]:
     params = _params(args)
-    curve = sweep_curve(params, grid)
+    betas, values = zip(*sweep_curve(params, grid).points)
     lines = ["beta,l"]
-    lines.extend(_curve_rows(curve, [repr(b) for b, _ in curve.points]))
+    lines.extend(_rows([repr(b) for b in betas], values))
     if args.emit_limits:
         lines.extend(_limit_lines([("", params)]))
     return lines
 
 
 def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> list[str]:
-    ensemble = ensemble_sweep(args.q, args.seeds, grid)
+    seeds, couplings, _, values, mean = _ensemble_values(args.q, args.seeds, grid)
     betas = [repr(b) for b in grid]
     lines = ["beta,l,seed"]
-    for seed, curve in zip(ensemble.seeds, ensemble.curves):
-        lines.extend(_curve_rows(curve, betas, f",{seed}"))
-    lines.extend(_curve_rows(ensemble.mean_curve, betas, ",mean"))
+    for seed, row in zip(seeds, values):
+        lines.extend(_rows(betas, row, f",{seed}"))
+    lines.extend(_rows(betas, mean, ",mean"))
     if args.emit_limits:
-        members = zip(ensemble.seeds, ensemble.curves)
-        lines.extend(_limit_lines([(f"seed {s}: ", c.params_snapshot) for s, c in members]))
+        members = zip(seeds, _member_params(args.q, couplings))
+        lines.extend(_limit_lines([(f"seed {s}: ", p) for s, p in members]))
     return lines
 
 

@@ -133,30 +133,44 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     permutations of the seed list.  The first failing lane, seed by seed and
     beta by beta, raises :class:`SweepError` naming its beta and seed.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    ProfileSpec("random", q, seeds[0])  # rejects a bad q as make_profile does
-    couplings = _random_couplings(q, seeds)
-    params = tuple(
-        ModelParams(q=q, beta=0.0, couplings=CouplingProfile(tuple(row)))
-        for row in couplings.tolist()
-    )
-    grid = _checked_grid(betas)
-    values = _sweep_lanes(seeds, couplings, params[0].levels, grid).tolist()
+    seeds, couplings, grid, values, mean = _ensemble_values(q, seeds, betas)
+    params = _member_params(q, couplings)
     curves = tuple(
         InvestmentCurve(points=tuple(zip(grid, row)), params_snapshot=p, seed=seed)
         for seed, p, row in zip(seeds, params, values)
     )
-    mean_points = tuple(
-        (b, math.fsum(column) / len(seeds)) for b, column in zip(grid, zip(*values))
-    )
-    mean_curve = InvestmentCurve(points=mean_points, params_snapshot=None, seed=None)
+    mean_curve = InvestmentCurve(points=tuple(zip(grid, mean)), params_snapshot=None, seed=None)
     return SeedEnsemble(
         seeds=seeds,
         curves=curves,
         mean_curve=mean_curve,
         unique_min_flags=tuple(p.couplings.unique_min_index() is not None for p in params),
+    )
+
+
+def _ensemble_values(q: int, seeds: Sequence[int], betas):
+    """(seeds, couplings, grid, values, mean): :func:`ensemble_sweep`'s checks and numbers.
+
+    No curve objects are built: couplings is the (n_seeds, q) draw, and
+    the lists values[i], seed i's l at each grid point, and mean, the fsum
+    mean over seeds at each point, are what the CLI writes.
+    """
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    ProfileSpec("random", q, seeds[0])  # rejects a bad q as make_profile does
+    grid = _checked_grid(betas)
+    couplings = _random_couplings(q, seeds)
+    block = _sweep_lanes(seeds, couplings, tuple(float(k) for k in range(q)), grid)
+    mean = [math.fsum(column) / len(seeds) for column in block.T.tolist()]
+    return seeds, couplings, grid, block.tolist(), mean
+
+
+def _member_params(q: int, couplings: np.ndarray) -> tuple[ModelParams, ...]:
+    """The zero-beta model of each ensemble member, from its row of couplings."""
+    return tuple(
+        ModelParams(q=q, beta=0.0, couplings=CouplingProfile(tuple(row)))
+        for row in couplings.tolist()
     )
 
 

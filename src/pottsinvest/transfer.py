@@ -317,7 +317,8 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
     take alone.  Then l = sum_a d_a w_a^2 / sum_a w_a^2 with w_a = 1 / (mu +
     Delta_a), clamped to [d_0, d_{q-1}].  Every sum over levels is
     :func:`_level_sum`, so each lane's bits are the same alone, in any
-    block and in any memory layout.
+    block and in any memory layout.  The two sums a step or the final pass
+    needs sit side by side in one (q, 2n) buffer, so one tree gives both.
 
     A lane with a non-finite exponent raises ValueError, and a lane still
     moving after the step cap raises :class:`ConvergenceError`; the
@@ -326,13 +327,16 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
     lev = np.asarray(levels, dtype=float)
     finite = np.isfinite(dx).all(axis=0) & np.isfinite(x_max)
     delta, mu = _secular_start(dx, x_max)
-    w, ww = np.empty_like(delta), np.empty_like(delta)
+    n = len(mu)
+    pair = np.empty((len(delta), 2 * n))
+    w, ww = pair[:, :n], pair[:, n:]
     moving = finite.copy()
     for _ in range(_NEWTON_CAP):
         np.divide(1.0, np.add(delta, mu, out=w), out=w)
         np.multiply(w, w, out=ww)
-        s1 = _level_sum(w)
-        step = (s1 - 1.0) * s1 / _level_sum(ww)
+        sums = _level_sum(pair)
+        s1 = sums[:n]
+        step = (s1 - 1.0) * s1 / sums[n:]
         np.copyto(step, 0.0, where=~moving)
         mu += step
         moving &= ~(step <= _NEWTON_RTOL * mu)
@@ -347,7 +351,8 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
     np.divide(1.0, np.add(delta, mu, out=w), out=w)
     np.multiply(w, w, out=ww)
     np.multiply(ww, lev[:, None], out=w)
-    l = _level_sum(w) / _level_sum(ww)
+    sums = _level_sum(pair)
+    l = sums[:n] / sums[n:]
     return np.minimum(np.maximum(l, lev[0]), lev[-1])
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pottsinvest import ensemble_sweep
+from pottsinvest import cli, ensemble_sweep
 from pottsinvest.cli import main
 
 
@@ -185,11 +185,19 @@ class TestEnsembleRuns:
         assert float(mean_zero.split(",")[1]) == 7.0
 
     def test_per_seed_limit_footer(self, tmp_path):
-        out = tmp_path / "ens.csv"
-        run_cli("--q", "15", "--profile", "random", "--seeds", "1,3",
-                "--beta-count", "2", "--beta-max", "1.0",
-                "--emit-limits", "--out", str(out))
+        out, plain = tmp_path / "ens.csv", tmp_path / "plain.csv"
+        args = ("--q", "15", "--profile", "random", "--seeds", "1,3",
+                "--beta-count", "2", "--beta-max", "1.0")
+        assert run_cli(*args, "--emit-limits", "--out", str(out)) == 0
+        assert run_cli(*args, "--out", str(plain)) == 0
         _, _, comments = read_rows(out)
+        # The plain run's bytes, then a footer built from the library's
+        # per-seed models.
+        ens = ensemble_sweep(15, (1, 3), [0.0, 1.0])
+        footer = cli._limit_lines(
+            [(f"seed {s}: ", c.params_snapshot) for s, c in zip(ens.seeds, ens.curves)]
+        )
+        assert out.read_text() == plain.read_text() + "\n".join(footer) + "\n"
         # The beta = 0 value once, first; then one endpoint per seed, in seed
         # order.  Seed 3 has a tied coupling minimum, so its endpoint is undefined.
         assert comments == [
@@ -382,6 +390,32 @@ class TestConfigFile:
         cfg.write_text("q = 2\nconfig = x.cfg\n", encoding="utf-8")
         assert run_cli("--config", str(cfg)) == 2
         assert f"{cfg}:2: unknown key 'config'" in capsys.readouterr().err
+
+    def test_cached_parser_keeps_no_state_between_runs(self, tmp_path, capsys):
+        # The parser is built once per process; a file run, a log-grid run
+        # and a plain run through it write what a freshly built parser does.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 8\nprofile = random\nseeds = 3,4\nemit_limits = on\n"
+                       "beta_count = 5\n", encoding="utf-8")
+        runs = [
+            ["--config", str(cfg)],
+            ["--q", "2", "--couplings", "1,-1", "--log-grid", "--beta-min", "0.1",
+             "--beta-count", "4"],
+            ["--q", "2", "--couplings", "1,-1", "--beta-count", "4"],
+        ]
+
+        def csv(argv):
+            assert run_cli(*argv) == 0
+            return capsys.readouterr().out
+
+        assert cli._build_parser() is cli._build_parser()
+        cached = [csv(argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            fresh.append(csv(argv))
+        assert cached == fresh
+        assert len(set(cached)) == 3
 
 
 class TestExitCodes:

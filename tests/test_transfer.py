@@ -280,6 +280,28 @@ class TestInvestmentLanes:
             solve(settled, overflow, unsettled)
         assert info.value.lane == 1
 
+    def test_nan_step_keeps_its_lane_moving(self, monkeypatch):
+        # A nan in lane 1's first level sums (of 3 lanes, so every third
+        # entry from 1) makes its step, and so its mu, nan.  A nan step is
+        # not a settled one: the lane must run out of steps and raise, not
+        # leave the loop with l = nan.
+        level_sum, calls = transfer._level_sum, []
+
+        def poisoned(a):
+            sums = level_sum(a)
+            if not calls:
+                sums.reshape(-1, 3)[:, 1] = math.nan
+            calls.append(len(sums))
+            return sums
+
+        monkeypatch.setattr(transfer, "_level_sum", poisoned)
+        dx = np.array([[-2.0, -2.0, -2.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ConvergenceError) as info:
+            transfer.investment_lanes(dx, np.ones(3), (0.0, 1.0))
+        assert info.value.lane == 1
+        assert math.isnan(info.value.residual)
+        assert len(calls) >= transfer._NEWTON_CAP
+
 
 def rank_one(p):
     """transfer._rank_one of a model, under the errstate its callers hold."""
