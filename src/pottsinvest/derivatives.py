@@ -31,7 +31,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import _biased_pair, _coupling_span, _unbiased_root, dominant_eigenvalue
+from .transfer import _biased_pair, _unbiased_root, dominant_eigenvalue
 
 __all__ = [
     "StencilConfig",
@@ -120,7 +120,10 @@ def _curve_setup(params: ModelParams) -> tuple:
     the end levels d_0 and d_{q-1}.
     """
     j, lev = np.array(params.couplings.values), params.levels
-    return (j, np.array(lev), params.field, *_coupling_span(j), lev[0], lev[-1])
+    j_min = float(j.min())
+    with np.errstate(over="ignore"):
+        j_span = j - j_min
+    return (j, np.array(lev), params.field, j_min, j_span, lev[0], lev[-1])
 
 
 def _investment(setup: tuple, beta: float) -> float:
@@ -134,7 +137,7 @@ def _investment(setup: tuple, beta: float) -> float:
     if field != 0.0:
         v = _biased_pair(j, lev, beta, field)[1]
     else:
-        v = _unbiased_root(beta, j_min, j_span)[2]
+        v = _unbiased_root(beta, j_min, j_span)
     # Dividing by sum v_a^2 (1 up to rounding) makes ties exact: equal
     # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
     weights = v * v

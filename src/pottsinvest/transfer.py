@@ -7,23 +7,26 @@ The ring partition sum factorises through a symmetric q x q matrix M with
 so that Z_N = Tr M^N = sum_i lambda_i^N.  Raw entries overflow double
 precision quickly (strongly negative couplings with beta of a few hundred
 push exponents past 700), so every route works from the exponents and
-scales the matrix by its largest entry, exp(t), which is carried
-separately; every spectral quantity is reported either rescaled or in log
-space.
+scales the matrix by exp(t), its largest entry up to rounding, which is
+carried separately; every spectral quantity is reported either rescaled or
+in log space.  The scale and the secular gaps share one anchor, the level
+whose diagonal entry is largest in exact arithmetic, so two uniform states
+of equal energy J(a) + D d_a stay tied in both.
 
 At any bias M = diag(e) + s s^T with s_a = exp(-beta D d_a / 2) and e_a =
 s_a^2 (exp(-beta J(a)) - 1), a rank-one update of a diagonal matrix, so its
 dominant eigenpair is the largest root of a scalar secular equation with
 weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
-itself.  That one solve gives l(beta, D) and the bias stencil of
-:mod:`.derivatives` at any bias, and log Z_N on long rings;
-:func:`investment_lanes` runs the zero-bias solve on many coupling vectors
-at once, as the lanes (columns) of a level-major (q, n) block whose every
-step and sum is elementwise across lanes.  log Z_N decides its route once
-from the same O(q) decomposition: N = 1 from the diagonal exponents; N log
-lambda_1 when interlacing and a lower bound on lambda_1 prove the rest of
-the spectrum below rounding; otherwise Tr M^N of the positive rescaled
-matrix by binary powering, where nothing cancels.
+itself.  That one solve gives log lambda_1 and v at any bias, l(beta, D)
+at D != 0 and the bias stencil of :mod:`.derivatives`, and log Z_N on long
+rings.  At zero bias every weight is 1, and l takes the unit-weight solve
+of :func:`_unbiased_root`; :func:`investment_lanes` runs that solve on many
+coupling vectors at once, as the lanes (columns) of a level-major (q, n)
+block whose every step and sum is elementwise across lanes.  log Z_N
+decides its route once from the same O(q) decomposition: N = 1 from the
+diagonal exponents; N log lambda_1 when interlacing and a lower bound on
+lambda_1 prove the rest of the spectrum below rounding; otherwise Tr M^N of
+the positive rescaled matrix by binary powering, where nothing cancels.
 """
 
 from __future__ import annotations
@@ -112,11 +115,13 @@ def _rank_one(
     With y_a = -beta D d_a and x_a = -beta J(a), M[a][b] = exp((y_a + y_b) / 2
     + x_a [a == b]), so the log diagonal is z = x + y - t, u = y - t and c =
     exp(u), all in O(q); exp(-t) M is exp(z_a) on the diagonal and exp((u_a
-    + u_b) / 2) off it.  t is the largest exponent of any entry, on the
-    diagonal or between the two most weighted levels (y is monotone in the
-    level), so the largest scaled entry is exactly 1.  m is the level of
-    least g_a = (J(a) - J(k)) + D (d_a - d_k), k at the top of z, z_max =
-    z_m and dz_a = -beta (g_a - g_m) <= 0, so an ulp split keeps its sign.
+    + u_b) / 2) off it.  m is the level of least g_a = (J(a) - J(k)) + D (d_a
+    - d_k), k at the top of x + y, and dz_a = -beta (g_a - g_m) <= 0, so an
+    ulp split keeps its sign.  The one anchor is m: t is the larger of its
+    diagonal exponent and the pair exponent of the two most weighted levels
+    (y is monotone in the level), so z_max = z_m is exactly 0 whenever a
+    diagonal entry is on top, and the gaps and the scale agree on which
+    level that is where uniform states tie.
     Weights below ``_WEIGHT_FLOOR`` are raised to it; one can exceed 1, and
     overflows only when beta |D| times the end levels' step passes 1400.
     j and lev are the couplings and levels as arrays, which are only read.
@@ -127,14 +132,14 @@ def _rank_one(
     bias = -(beta * field)
     y = lev * bias
     z = y - beta * j
-    t = max(_largest(z), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
+    k = int(z.argmax())
+    g = (j - j[k]) + field * (lev - lev[k])
+    m = int(g.argmin())
+    t = max(float(z[m]), 0.5 * float(max(y[0] + y[1], y[-1] + y[-2])))
     u = y - t
     c = np.exp(u)
     np.maximum(c, _WEIGHT_FLOOR, out=c)
     z -= t
-    k = int(z.argmax())
-    g = (j - j[k]) + field * (lev - lev[k])
-    m = int(g.argmin())
     dz = -beta * (g - g[m])
     _require_finite(z)
     return t, float(z[m]), dz, c, z, u
@@ -168,24 +173,17 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
 
     lambda_1 is at least the largest scaled entry, 1, and at least the top
     eigenvalue of the submatrix on a level m at the top of the diagonal and
-    any level b, which exceeds the diagonal entry at m by c_m c_b / (Delta_b
-    / 2 + sqrt(Delta_b^2 / 4 + c_m c_b)), and by s_m s_b on a tie.  Without
-    that bound a tiny c_m puts a near-pole just below nu = 0, and Newton
-    would climb from it by doubling its step.  On a tie m is the most
-    weighted top level, whose pairs bound nu best.
+    any level b, which exceeds the diagonal entry at m by s / (r + sqrt(r^2
+    + 1)) with s = s_m s_b and r = Delta_b / (2 s), and by s on a tie.  In
+    this form nothing overflows, and s stays at least the weight floor where
+    c_m c_b would underflow.  Without that bound a tiny c_m puts a near-pole
+    just below nu = 0, and Newton would climb from it by doubling its step.
+    m is the most weighted level with a zero gap, whose pairs bound nu best.
     """
-    tied = delta == 0.0
-    ties = np.count_nonzero(tied) > 1
-    m = int(np.where(tied, c, 0.0).argmax()) if ties else int(delta.argmin())
-    half = 0.5 * delta
-    # c_m c_b is at most 1 for b != m, as the square of a scaled entry.  It
-    # underflows once both weights are below about 1e-154, where a tie's
-    # s_m s_b, at least the weight floor, still bounds nu; only m itself
-    # has a zero gap unless levels tie.
-    coupling = c[m] * c
-    pair = coupling / (half + np.sqrt(half * half + coupling))
-    if ties:
-        pair = np.where(tied, math.sqrt(c[m]) * np.sqrt(c), pair)
+    m = int(np.where(delta == 0.0, c, 0.0).argmax())
+    s = math.sqrt(c[m]) * np.sqrt(c)
+    r = delta / (2.0 * s)
+    pair = s / (r + np.hypot(r, 1.0))
     pair[m] = 0.0
     return max(1.0 - top, _largest(pair))
 
@@ -205,7 +203,9 @@ def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, 
     when c_m is far above nu + Delta_m; S1 - 1 therefore takes the largest
     term as c_m w_m - 1 = -(nu + Delta_m) w_m, which cancels nothing.
     lambda_1 is at least every diagonal entry, so a root that rounding puts
-    below 0 is 0.
+    below 0 is 0.  As :func:`_rank_one` takes t and the gaps from one level,
+    z_max is exactly 0 where a diagonal entry is on top, so the start 1 -
+    exp(z_max) is 0 there.
     """
     _require_finite(c)
     top = math.exp(z_max)
@@ -235,7 +235,7 @@ def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, 
 def _biased_pair(
     j: np.ndarray, lev: np.ndarray, beta: float, field: float
 ) -> tuple[float, np.ndarray]:
-    """(log lambda_1, v) at bias ``field`` != 0 from the arrays :func:`_rank_one` reads."""
+    """(log lambda_1, v) at bias ``field`` from the arrays :func:`_rank_one` reads."""
     with np.errstate(over="ignore", invalid="ignore"):
         t, z_max, dz, c, _, _ = _rank_one(j, lev, beta, field)
         log_top, nu, delta = _weighted_root(z_max, dz, c)
@@ -243,28 +243,24 @@ def _biased_pair(
     return t + log_top, v / float(np.linalg.norm(v))
 
 
-def _coupling_span(j: np.ndarray) -> tuple[float, np.ndarray]:
-    """J_min and J - J_min; a span that overflows is inf, caught by :func:`_unbiased_root`."""
-    j_min = float(j.min())
-    with np.errstate(over="ignore"):
-        return j_min, j - j_min
+def _unbiased_root(beta: float, j_min: float, j_span: np.ndarray) -> np.ndarray:
+    """The unit dominant eigenvector at zero bias, from j_span = J - J_min.
 
-
-def _unbiased_root(
-    beta: float, j_min: float, j_span: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """x_max, mu and the unit dominant eigenvector at zero bias, j_span = J - J_min.
-
-    j_span is only read, so a curve forms it once for all its betas.
+    At zero bias s_a = 1, and the solve is written for mu = nu + 1 instead:
+    mu is the root in [1, q] of sum_a 1 / (mu + Delta_a) = 1, Newton starts
+    at the number of levels tied at the coupling minimum, and v_a is
+    proportional to 1 / (mu + Delta_a).  Delta is exactly 0 on tied levels
+    (:func:`_secular_start`), and an entry that overflows to inf drops out.
+    j_span is only read, so a curve forms it once for all its betas; a span
+    that overflows is inf, and raises here.
     """
     x_max = -beta * j_min
     with np.errstate(over="ignore", invalid="ignore"):
         dx = -beta * j_span
         _require_finite(dx + x_max)
     delta, mu = _secular_start(dx, x_max)
-    mu = _secular_root(delta, float(mu))
-    w = 1.0 / (mu + delta)
-    return x_max, mu, w / float(np.linalg.norm(w))
+    w = 1.0 / (_secular_root(delta, float(mu)) + delta)
+    return w / float(np.linalg.norm(w))
 
 
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
@@ -273,20 +269,12 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     Returns (log lambda_1, v) with v the unit, entrywise positive dominant
     eigenvector.  M = exp(t) (diag(exp(z_max + dz) - c) + s s^T) (see
     :func:`_rank_one`), lambda_1 comes from :func:`_weighted_root`, and v_a
-    is proportional to s_a / (nu + Delta_a + c_a).
-
-    At zero bias s_a = 1 and t = 0, and the solve is written for mu = nu + 1
-    instead: lambda_1 = exp(x_max) - 1 + mu with x_a = -beta J(a), mu is the
-    root in [1, q] of sum_a 1 / (mu + Delta_a) = 1, and Newton starts at
-    the number of levels tied at x_max.  Delta is exactly 0 on tied levels
-    (:func:`_secular_start`), and an entry that overflows to inf drops out.
+    is proportional to s_a / (nu + Delta_a + c_a); zero bias takes the same
+    weighted solve, with every s_a = 1.
     """
-    j = np.array(params.couplings.values)
-    if params.field != 0.0:
-        return _biased_pair(j, np.array(params.levels), params.beta, params.field)
-    x_max, mu, v = _unbiased_root(params.beta, *_coupling_span(j))
-    log_value = float(np.logaddexp(x_max, math.log(mu - 1.0))) if mu > 1.0 else x_max
-    return log_value, v
+    return _biased_pair(
+        np.array(params.couplings.values), np.array(params.levels), params.beta, params.field
+    )
 
 
 def _level_sum(a: np.ndarray) -> np.ndarray:
@@ -310,7 +298,7 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
 
     dx_a = -beta (J(a) - J_min), which is overwritten, and x_max = -beta
     J_min keep near-ties exact.  Each lane is solved as
-    :func:`dominant_eigenvalue` solves one coupling vector: the same gaps,
+    :func:`_unbiased_root` solves one coupling vector: the same gaps,
     start, Newton steps on the concave reciprocal 1 / sum_a w_a, and cap.
     Every step runs on the whole block; a lane whose step has settled gets
     steps of exactly 0 from then on, so it takes exactly the steps it would

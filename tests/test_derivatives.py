@@ -224,7 +224,7 @@ class TestPerCapitaInvestment:
         vector = np.zeros(10)
         vector[-1] = 0.67925
         monkeypatch.setattr(
-            derivatives, "_unbiased_root", lambda beta, j_min, j_span: (0.0, 1.0, vector)
+            derivatives, "_unbiased_root", lambda beta, j_min, j_span: vector
         )
         p = params_for(10, 1.0, range(10))
         assert per_capita_investment(p) == 9.0
@@ -294,6 +294,15 @@ class TestNearTiedMinima:
         want = secular_oracle(p)
         assert want == pytest.approx(1.0, abs=1e-15)
         assert abs(per_capita_investment(p) - want) <= 1e-14 * 2
+
+    def test_a_near_tie_split_by_the_bias(self):
+        # Levels 0 and 3 tie in J and the bias 1e-14 splits them, so the
+        # gaps must come from coupling and level differences: exponents
+        # formed from the rounded energies J + D d are off by 1.8e-8 here.
+        p = params_for(4, 10.0**0.75, (-3.0, 0.0, 0.0, -3.0), field=1e-14)
+        want = secular_oracle(p)
+        assert want == pytest.approx(1.4999973156786137, abs=1e-15)
+        assert abs(per_capita_investment(p) - want) <= 1e-14 * 3
 
     @given(
         couplings=st.lists(coupling_values, min_size=2, max_size=24),
@@ -393,15 +402,43 @@ class TestBiasedInvestment:
         gap = (values[-1] - values[-2]) / values[-1]
         assert err * min(1.0, gap / (1e2 * cfg.xi * beta * (q - 1))) ** 4 <= 1e-7
 
-    @pytest.mark.xfail(strict=True, reason="biased ground-state crossing, ROADMAP item 1")
     def test_crossing_of_two_uniform_states(self):
         # J + D d is -2 at levels 0 and 2, so their uniform states cross and
         # l is their mean level; mpmath eigsy at 300 and 600 digits agrees.
-        # The program picks level 0 alone and returns 6.33e-48.
+        # A scale and gaps anchored at levels an ulp apart pick level 0
+        # alone, and give 6.33e-48.
         p = params_for(4, 109.37205691948307, (-2.0, 1.0, -3.0, -2.0), field=0.5)
         want = secular_oracle(p)
         assert want == pytest.approx(1.0, abs=1e-15)
         assert abs(per_capita_investment(p) - want) <= 1e-14 * 3
+
+    @pytest.mark.parametrize(
+        "couplings,field,beta,want",
+        # Two uniform states of equal energy J(a) + D d_a hold the top of the
+        # diagonal, so l is the mean of their levels.  A scale and gaps
+        # anchored at levels an ulp apart split them, and give 2.2e-33,
+        # 1.0, 7.5e-50, 1.0, 3.0 and 3.0.
+        [
+            ((-2.0, -3.0), 1.0, 75.21085970476601, 0.5),
+            ((-1.0, -3.0), 2.0, 47.510651315828014, 0.5),
+            ((-3.0, -2.0, -7.0), 2.0, 28.451189858987007, 1.0),
+            ((3.0, -7.0, 0.0, -3.0), -2.0, 20.177146452672773, 2.0),
+            ((-9.0, -2.0, -3.0, -3.0), -2.0, 119.79794465871421, 1.5),
+            ((-2.0, -3.0, -2.5, 2.0), -0.5, 149.02444212935856, 1.5),
+        ],
+    )
+    def test_exact_uniform_crossings_and_their_mirrors(self, couplings, field, beta, want):
+        # The mirror, reversed couplings at bias -D, is the same crossing
+        # seen from the other end of the levels, so it gives q - 1 - l.
+        q = len(couplings)
+        p = params_for(q, beta, couplings, field=field)
+        mirror = params_for(q, beta, couplings[::-1], field=-field)
+        assert secular_oracle(p) == pytest.approx(want, abs=1e-15)
+        assert secular_oracle(mirror) == pytest.approx(q - 1 - want, abs=1e-15)
+        forward, mirrored = per_capita_investment(p), per_capita_investment(mirror)
+        assert abs(forward - secular_oracle(p)) <= 1e-14 * (q - 1)
+        assert abs(mirrored - secular_oracle(mirror)) <= 1e-14 * (q - 1)
+        assert abs(forward + mirrored - (q - 1)) <= 1e-14 * (q - 1)
 
     @pytest.mark.parametrize("couplings,field", [((-2.0, -1.0), -1.0), ((-1.0, -2.0), 1.0)])
     def test_bias_tie_with_underflowing_weights_splits_evenly(self, couplings, field):

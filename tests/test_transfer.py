@@ -14,6 +14,7 @@ from pottsinvest import (
     dominant_eigenvalue,
     log_partition_function,
     partition_function_bruteforce,
+    per_capita_investment,
     transfer,
 )
 from oracles import dense_matrix
@@ -209,10 +210,11 @@ class TestDominantEigenvalue:
             dominant_eigenvalue(params_for(10, float(beta), aggressive))
 
     def test_newton_cap_raises(self, monkeypatch):
-        # From mu = 1 the root near 1.37 takes more than two Newton steps.
+        # The unit-weight solve behind l at zero bias: from mu = 1 the root
+        # near 1.37 takes more than two Newton steps.
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 2)
         with pytest.raises(ConvergenceError, match="2 Newton steps") as info:
-            dominant_eigenvalue(params_for(2, 1.0, (1.0, -1.0)))
+            per_capita_investment(params_for(2, 1.0, (1.0, -1.0)))
         assert info.value.residual > 0.0
 
     def test_newton_cap_raises_at_any_bias(self, monkeypatch):
@@ -224,6 +226,14 @@ class TestDominantEigenvalue:
             with pytest.raises(ConvergenceError, match="2 Newton steps") as info:
                 solve(p)
             assert info.value.residual > 0.0
+
+    def test_scale_and_gaps_share_one_anchor(self):
+        # The uniform states of levels 0 and 1 have equal energy J + D d =
+        # -2, so both gaps are 0 and the top scaled diagonal entry is 1; a
+        # scale from the other level's rounding puts it at exp(-2.84e-14).
+        _, z_max, dz, *_ = rank_one(params_for(2, 75.21085970476601, (-2.0, -3.0), field=1.0))
+        assert z_max == 0.0
+        assert np.array_equal(dz, [0.0, 0.0])
 
 
 class TestInvestmentLanes:
