@@ -9,7 +9,9 @@ has an exact expression.  Each formula below is evaluated in exp(-beta J)
 and 1, both divided by m = max(exp(-beta J), 1), the scaling that
 :func:`investment_q2` applies to its two couplings.  The scaled values lie
 in [0, 1] and are formed from their exponents, so none overflows whatever
-the sign of J, and one expression covers both signs.
+the sign of J, and one expression covers both signs.  That scaling is also
+the one place the curves check their inputs: beta finite and
+non-negative, each coupling finite.
 
 The large-beta endpoints of the two non-trivial q = 3 curves are exposed as
 exact constants rather than numerical limits, and
@@ -45,28 +47,21 @@ Q3_CASE1_POSITIVE_J_LIMIT = (1.0 + SQRT12) / (2.0 + SQRT12)
 Q3_CASE3_POSITIVE_J_LIMIT = (3.0 + SQRT12) / (2.0 + SQRT12)
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError("beta must be finite and non-negative")
-    return beta
-
-
-def _check_coupling(j: float) -> float:
-    j = float(j)
-    if not math.isfinite(j):
-        raise ValueError("coupling must be finite")
-    return j
-
-
 def _scaled(beta: float, *couplings: float) -> list[float]:
     """exp(-beta J) for each coupling, then 1, each divided by m, the largest of them.
 
     Formed from the exponents, so every value lies in [0, 1] and none
-    overflows; the largest is exactly 1, even when beta J overflows.
+    overflows; the largest is exactly 1, even when beta J overflows.  The
+    one check of every closed form's inputs: beta must be finite and
+    non-negative, and each coupling finite, else ValueError.
     """
-    beta = _check_beta(beta)
-    logs = [-beta * _check_coupling(j) for j in couplings] + [0.0]
+    beta = float(beta)
+    if not math.isfinite(beta) or beta < 0.0:
+        raise ValueError("beta must be finite and non-negative")
+    couplings = [float(j) for j in couplings]
+    if not all(math.isfinite(j) for j in couplings):
+        raise ValueError("coupling must be finite")
+    logs = [-beta * j for j in couplings] + [0.0]
     top = max(logs)
     return [math.exp(v - top) if v < top else 1.0 for v in logs]
 
@@ -114,8 +109,7 @@ def investment_q3_case1(beta: float, j: float) -> float:
 
 def investment_q3_case2(beta: float, j: float) -> float:
     """Exact q = 3 curve for couplings (0, j, 0): identically 1 for every beta and j."""
-    _check_beta(beta)
-    _check_coupling(j)
+    _scaled(beta, j)
     return 1.0
 
 

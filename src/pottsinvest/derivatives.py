@@ -18,8 +18,18 @@ offered:
     four_point:  4/3 * two_point(xi) - 1/3 * two_point(2 xi)    error O(xi^4)
 
 Here f(offset) is log lambda_1 at bias D + offset, from the same secular
-solve, so l = -f'(0) / beta and the true eigenvalue, which can be
-astronomically large, is never formed.
+solve on the arrays of one setup, so l = -f'(0) / beta and the true
+eigenvalue, which can be astronomically large, is never formed.
+
+Both beta sweeps live here.  :func:`sweep_curve` solves a single curve
+point by point from one setup, each point bit for bit the value
+:func:`per_capita_investment` gives.  :func:`_sweep_lanes`, behind the
+random-profile ensembles of :mod:`.profiles`, lays every (seed, beta) point
+out as one lane (column) of a level-major block of exponent gaps -beta (J
+- J_min) and solves the lanes together with
+:func:`.transfer.investment_lanes`, a bounded block at a time.  Lanes never
+mix in an operation, so each seed's curve is bitwise the one it would have
+if swept alone.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import _biased_pair, _unbiased_root, dominant_eigenvalue
+from .transfer import ConvergenceError, _biased_pair, _unbiased_root, investment_lanes
 
 __all__ = [
     "StencilConfig",
@@ -45,6 +55,10 @@ __all__ = [
 
 Order = Literal["two_point", "four_point"]
 _ORDERS = ("two_point", "four_point")
+
+# Exponent floats per block of the batched ensemble solve; keeps its working
+# memory bounded for any number of seeds and betas.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,14 +117,19 @@ def richardson_difference(f: Callable[[float], float], xi: float) -> float:
     )
 
 
-def _stencil_investment(params: ModelParams, cfg: StencilConfig) -> float:
-    """l(beta, D) = -(d log lambda_1 / dD) / beta by a finite difference in the bias."""
+def _stencil_investment(setup: tuple, beta: float, cfg: StencilConfig) -> float:
+    """l(beta, D) = -(d log lambda_1 / dD) / beta by a finite difference in the bias.
+
+    Every offset's log lambda_1 is one weighted secular solve on the
+    setup's arrays, which the solve only reads.
+    """
+    j, lev, field = setup[:3]
 
     def f(offset: float) -> float:
-        return dominant_eigenvalue(replace(params, field=params.field + offset))[0]
+        return _biased_pair(j, lev, beta, field + offset)[0]
 
     diff = central_difference if cfg.order == "two_point" else richardson_difference
-    return -diff(f, cfg.xi) / params.beta
+    return -diff(f, cfg.xi) / beta
 
 
 def _curve_setup(params: ModelParams) -> tuple:
@@ -154,9 +173,10 @@ def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None)
     the paper's finite-difference route instead, unclamped.  A bias so
     strong that a secular weight overflows raises ValueError.
     """
+    setup = _curve_setup(params)
     if cfg is not None and params.beta != 0.0:
-        return _stencil_investment(params, cfg)
-    return _investment(_curve_setup(params), params.beta)
+        return _stencil_investment(setup, params.beta, cfg)
+    return _investment(setup, params.beta)
 
 
 def _checked_grid(betas) -> list[float]:
@@ -193,3 +213,32 @@ def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
         params_snapshot=replace(params_base, beta=0.0),
         seed=None,
     )
+
+
+def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
+    """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q)."""
+    q = len(levels)
+    # The grid is increasing and non-negative, so only its first point can be 0.
+    skip = 1 if grid[0] == 0.0 else 0
+    out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
+    neg_beta = -np.asarray(grid[skip:])
+    j_min = couplings.min(axis=1, keepdims=True)
+    # A block is a rectangle of seeds x betas holding at most _BLOCK
+    # exponents.  It spans several seeds only when it holds their whole
+    # grids, so blocks run seed by seed, beta by beta.
+    width = max(1, min(len(neg_beta), _BLOCK // q))
+    height = max(1, _BLOCK // (q * width))
+    for s0 in range(0, len(seeds), height):
+        j = (couplings[s0 : s0 + height] - j_min[s0 : s0 + height]).T[:, :, None]
+        for b0 in range(0, len(neg_beta), width):
+            b = neg_beta[b0 : b0 + width]
+            with np.errstate(over="ignore"):
+                dx = np.multiply(b, j, order="C").reshape(q, -1)
+                x_max = np.multiply(b, j_min[s0 : s0 + height]).reshape(-1)
+            try:
+                l = investment_lanes(dx, x_max, levels)
+            except (ValueError, ConvergenceError) as exc:
+                seed, beta = divmod(exc.lane, len(b))
+                raise SweepError(grid[skip + b0 + beta], exc, seed=seeds[s0 + seed]) from exc
+            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = l.reshape(-1, len(b))
+    return out

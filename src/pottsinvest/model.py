@@ -14,8 +14,9 @@ equally likely, large beta concentrates the ensemble on energy minimisers.
 
 Everything here is a pure function of its inputs.  The brute-force routines
 enumerate all q**N ring configurations and serve as ground truth for the
-spectral machinery in :mod:`.transfer`; they refuse systems larger than
-``ENUMERATION_STATE_CAP`` states.
+spectral machinery in :mod:`.transfer`; they refuse, by an exact integer
+test made before any walk, systems larger than ``ENUMERATION_STATE_CAP``
+states.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
 # Largest q ** n_sites the enumeration oracles will walk.  Keeps the oracle
 # path interactive; larger systems belong to the transfer-matrix path.
 ENUMERATION_STATE_CAP = 1 << 24
-_LOG_STATE_CAP = math.log(ENUMERATION_STATE_CAP)
 
 # Enumeration chunk size; bounds peak memory independent of system size.
 _BLOCK = 1 << 16
@@ -148,15 +148,12 @@ class ModelParams:
 def _check_enumerable(q: int, n_sites: int) -> int:
     """``n_sites`` as an int, if the oracles may walk all q**n_sites states.
 
-    n_sites log q against log(cap) decides in O(1): the exponent the cap
-    allows, log(cap) / log(q), is at most 24 and rounds by about 1e-14, so
-    only a count within 1e-6 of it forms the exact q**n_sites.
+    Exact and O(1): q >= 2, so q**n_sites >= 2**n_sites exceeds the cap
+    once n_sites reaches its bit length, and below that q**n_sites is a
+    product of at most 24 factors.
     """
     n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
-    allowed = _LOG_STATE_CAP / math.log(q)
-    if n_sites > allowed + 1e-6 or (
-        n_sites > allowed - 1e-6 and q**n_sites > ENUMERATION_STATE_CAP
-    ):
+    if n_sites >= ENUMERATION_STATE_CAP.bit_length() or q**n_sites > ENUMERATION_STATE_CAP:
         raise EnumerationCapError(
             f"{q}**{n_sites} states exceed the enumeration cap of "
             f"{ENUMERATION_STATE_CAP}; use the transfer-matrix path"

@@ -19,11 +19,11 @@ transition per draw is:
 
 and a uniform draw on [0, 1) takes the top 53 bits, (output >> 11) / 2**53.
 
-An ensemble sweep lays every (seed, beta) point out as one lane (column) of
-a level-major block of exponent gaps -beta (J - J_min) and solves the lanes
-together with :func:`.transfer.investment_lanes`, a bounded block at a
-time.  Lanes never mix in an operation, so each seed's curve is bitwise the
-one it would have if swept alone.
+An ensemble sweep draws one random profile per seed and keeps the
+bookkeeping: the per-seed curves, their fsum mean and the minimum flags.
+The numbers come from :func:`.derivatives._sweep_lanes`, the batched
+beta sweep, which solves every (seed, beta) point as one lane of a block;
+this module touches no solver itself.
 """
 
 from __future__ import annotations
@@ -34,19 +34,14 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .derivatives import InvestmentCurve, SweepError, _checked_grid
+from .derivatives import InvestmentCurve, _checked_grid, _sweep_lanes
 from .model import CouplingProfile, ModelParams, _count
-from .transfer import ConvergenceError, investment_lanes
 
 __all__ = [
     "ProfileSpec",
     "make_profile",
     "ensemble_sweep",
 ]
-
-# Exponent floats per block of the batched ensemble solve; keeps its working
-# memory bounded for any number of seeds and betas.
-_BLOCK = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -127,11 +122,12 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     """Sweep one random-profile curve per seed and average them pointwise.
 
     Every (seed, beta > 0) lane is solved by :func:`.transfer.investment_lanes`
-    in blocks; beta = 0 lanes take the exact level mean.  A seed's curve is
-    bitwise the same whether it is swept alone or with other seeds.  The
-    mean uses exact (fsum) accumulation, so it is invariant under
-    permutations of the seed list.  The first failing lane, seed by seed and
-    beta by beta, raises :class:`SweepError` naming its beta and seed.
+    in blocks (:func:`.derivatives._sweep_lanes`); beta = 0 lanes take the
+    exact level mean.  A seed's curve is bitwise the same whether it is
+    swept alone or with other seeds.  The mean uses exact (fsum)
+    accumulation, so it is invariant under permutations of the seed list.
+    The first failing lane, seed by seed and beta by beta, raises
+    :class:`.derivatives.SweepError` naming its beta and seed.
     """
     seeds, couplings, grid, values, mean = _ensemble_values(q, seeds, betas)
     params = _member_params(q, couplings)
@@ -158,7 +154,7 @@ def _ensemble_values(q: int, seeds: Sequence[int], betas):
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    ProfileSpec("random", q, seeds[0])  # rejects a bad q as make_profile does
+    q = _count(q, 2, "q must be an integer with q >= 2")
     grid = _checked_grid(betas)
     couplings = _random_couplings(q, seeds)
     block = _sweep_lanes(seeds, couplings, tuple(float(k) for k in range(q)), grid)
@@ -173,31 +169,3 @@ def _member_params(q: int, couplings: np.ndarray) -> tuple[ModelParams, ...]:
         for row in couplings.tolist()
     )
 
-
-def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
-    """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q)."""
-    q = len(levels)
-    # The grid is increasing and non-negative, so only its first point can be 0.
-    skip = 1 if grid[0] == 0.0 else 0
-    out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
-    neg_beta = -np.asarray(grid[skip:])
-    j_min = couplings.min(axis=1, keepdims=True)
-    # A block is a rectangle of seeds x betas holding at most _BLOCK
-    # exponents.  It spans several seeds only when it holds their whole
-    # grids, so blocks run seed by seed, beta by beta.
-    width = max(1, min(len(neg_beta), _BLOCK // q))
-    height = max(1, _BLOCK // (q * width))
-    for s0 in range(0, len(seeds), height):
-        j = (couplings[s0 : s0 + height] - j_min[s0 : s0 + height]).T[:, :, None]
-        for b0 in range(0, len(neg_beta), width):
-            b = neg_beta[b0 : b0 + width]
-            with np.errstate(over="ignore"):
-                dx = np.multiply(b, j, order="C").reshape(q, -1)
-                x_max = np.multiply(b, j_min[s0 : s0 + height]).reshape(-1)
-            try:
-                l = investment_lanes(dx, x_max, levels)
-            except (ValueError, ConvergenceError) as exc:
-                seed, beta = divmod(exc.lane, len(b))
-                raise SweepError(grid[skip + b0 + beta], exc, seed=seeds[s0 + seed]) from exc
-            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = l.reshape(-1, len(b))
-    return out

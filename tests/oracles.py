@@ -73,11 +73,14 @@ def secular_oracle(params):
     exp(-beta (J(a) + D d_a)) - c_a, so lambda_1 = e_max + nu with nu > 0
     the root of sum_a c_a / (nu + Delta_a) = 1, Delta_a = e_max - e_a, and
     l = sum_a d_a c_a w_a^2 / sum_a c_a w_a^2 with w_a = 1 / (nu + Delta_a).
-    Newton runs on the reciprocal of the sum from nu = c_m, where Delta_m =
-    0 and the sum is at least 1, so it climbs to the root from below.  Every
-    float converts to Decimal exactly, and 40 digits plus the entries'
-    exponent span in decades keep each gap Delta_a to far more digits than
-    a float holds, however close e_a is to e_max.
+    The sum is at least 1 at nu = c_m, where Delta_m = 0, and at most 1 at
+    nu = sum_a c_a, so the root lies between them; bisection in log nu
+    narrows that bracket to a factor of 2, then Newton runs on the
+    reciprocal of the sum from its lower end, where the sum is still at
+    least 1, so it climbs to the root from below.  Every float converts to
+    Decimal exactly, and 40 digits plus the entries' exponent span in
+    decades keep each gap Delta_a to far more digits than a float holds,
+    however close e_a is to e_max.
     """
     y_float = -params.beta * params.field * np.array(params.levels)
     x_float = y_float - params.beta * np.array(params.couplings.values)
@@ -92,7 +95,14 @@ def secular_oracle(params):
         e = [xa.exp() - ca for xa, ca in zip(x, c)]
         e_max = max(e)
         delta = [e_max - ea for ea in e]
-        nu = c[delta.index(0)]
+        lo, hi = c[delta.index(0)], sum(c)
+        while hi > 2 * lo:
+            mid = (lo * hi).sqrt()
+            if sum(ca / (mid + da) for ca, da in zip(c, delta)) >= 1:
+                lo = mid
+            else:
+                hi = mid
+        nu = lo
         tol = Decimal(10) ** (10 - ctx.prec)
         for _ in range(1000):
             w = [1 / (nu + da) for da in delta]

@@ -14,6 +14,7 @@ from pottsinvest import (
     ProfileSpec,
     SweepError,
     classify_limits,
+    derivatives,
     ensemble_sweep,
     make_profile,
     per_capita_investment,
@@ -218,7 +219,7 @@ class TestBatchedEnsemble:
             assert curve.points == by_seed[seed].points
         block = data.draw(st.integers(1, 4 * q))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(profiles, "_BLOCK", block)
+            mp.setattr(derivatives, "_BLOCK", block)
             assert ensemble_sweep(q, seeds, grid).curves == together.curves
 
     def test_a_long_grid_is_split_into_bounded_blocks(self, monkeypatch):
@@ -231,10 +232,10 @@ class TestBatchedEnsemble:
             sizes.append(dx.size)
             return transfer.investment_lanes(dx, x_max, levels)
 
-        monkeypatch.setattr(profiles, "investment_lanes", solve)
+        monkeypatch.setattr(derivatives, "investment_lanes", solve)
         split = ensemble_sweep(q, seeds, grid)
-        assert len(sizes) == 4 and max(sizes) <= profiles._BLOCK
-        monkeypatch.setattr(profiles, "_BLOCK", q * len(seeds) * len(grid))
+        assert len(sizes) == 4 and max(sizes) <= derivatives._BLOCK
+        monkeypatch.setattr(derivatives, "_BLOCK", q * len(seeds) * len(grid))
         sizes.clear()
         whole = ensemble_sweep(q, seeds, grid)
         assert len(sizes) == 1
