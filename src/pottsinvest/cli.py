@@ -245,16 +245,7 @@ def _limit_lines(models: list[tuple[str, ModelParams]]) -> list[str]:
         info = classify_limits(params)
         if not lines:
             lines.append(f"# investment_at_beta_zero = {info.beta_zero!r}")
-        if info.unique_min:
-            lines.append(
-                f"# {tag}investment_at_beta_infinity = {info.beta_infinity!r} "
-                f"(unique coupling minimum at level {params.couplings.unique_min_index()})"
-            )
-        else:
-            lines.append(
-                f"# {tag}investment_at_beta_infinity = undefined "
-                "(coupling minimum attained at multiple levels)"
-            )
+        lines.append(f"# {tag}investment_at_beta_infinity = {info.beta_infinity!r} ({info.law})")
     return lines
 
 

@@ -131,6 +131,32 @@ def investment_q3_case3(beta: float, j: float) -> float:
     return min(2.0, max(0.0, num / (a + 2.0 * i + root)))
 
 
+def _limit_and_law(params: ModelParams) -> tuple[float, str]:
+    """:func:`investment_at_beta_infinity` and the name of the law that gave it."""
+    if params.field != 0.0:
+        raise ValueError(f"l(beta -> infinity) is the zero-bias law; field={params.field!r}")
+    j = params.couplings.values
+    lev = params.levels
+    lowest = min(j)
+    if lowest > 0.0:
+        return math.fsum(lev) / params.q, "coupling minimum above 0: mean of all levels"
+    at = [k for k, v in enumerate(j) if v == lowest]
+    where = ", ".join(map(str, at))
+    tied = [lev[k] for k in at]
+    if lowest < 0.0:
+        law = f"coupling minimum below 0 at levels {where}: their mean"
+        if len(at) == 1:
+            law = f"unique coupling minimum at level {where}"
+        return math.fsum(tied) / len(tied), law
+    z, q = len(tied), params.q
+    mu = 0.5 * ((q - 1) + math.sqrt((q - 1) ** 2 + 4 * z))
+    on_zero, off_zero = (mu + 1.0) ** 2, mu * mu
+    rest = math.fsum(d for d, v in zip(lev, j) if v != lowest)
+    num = math.fsum((on_zero * math.fsum(tied), off_zero * rest))
+    law = f"coupling minimum 0 at level{'s' if z > 1 else ''} {where}: root law"
+    return num / math.fsum((z * on_zero, (q - z) * off_zero)), law
+
+
 def investment_at_beta_infinity(params: ModelParams) -> float:
     """Exact limit of l(beta) as beta -> infinity at zero bias, for any coupling vector.
 
@@ -147,22 +173,7 @@ def investment_at_beta_infinity(params: ModelParams) -> float:
     symmetric case such as couplings (3, 1, 0, 2, 4) gives exactly 2.0.
     A nonzero bias moves the limit, so ``field != 0`` raises ValueError.
     """
-    if params.field != 0.0:
-        raise ValueError(f"l(beta -> infinity) is the zero-bias law; field={params.field!r}")
-    j = params.couplings.values
-    lev = params.levels
-    lowest = min(j)
-    if lowest > 0.0:
-        return math.fsum(lev) / params.q
-    tied = [d for d, v in zip(lev, j) if v == lowest]
-    if lowest < 0.0:
-        return math.fsum(tied) / len(tied)
-    z, q = len(tied), params.q
-    mu = 0.5 * ((q - 1) + math.sqrt((q - 1) ** 2 + 4 * z))
-    on_zero, off_zero = (mu + 1.0) ** 2, mu * mu
-    rest = math.fsum(d for d, v in zip(lev, j) if v != lowest)
-    num = math.fsum((on_zero * math.fsum(tied), off_zero * rest))
-    return num / math.fsum((z * on_zero, (q - z) * off_zero))
+    return _limit_and_law(params)[0]
 
 
 @dataclass(frozen=True)
@@ -170,14 +181,16 @@ class LimitClassification:
     """Endpoint summary of an investment curve.
 
     ``beta_zero`` is the exact beta = 0 value, the plain mean of the levels.
-    ``beta_infinity`` is :func:`investment_at_beta_infinity` when the
-    coupling minimum is unique, else None.  ``unique_min`` records whether
-    the coupling minimum is attained exactly once.
+    ``beta_infinity`` is :func:`investment_at_beta_infinity`, and ``law``
+    names the case of it that applied, with the levels at the coupling
+    minimum.  ``unique_min`` records whether the coupling minimum is
+    attained exactly once.
     """
 
     beta_zero: float
-    beta_infinity: float | None
+    beta_infinity: float
     unique_min: bool
+    law: str
 
 
 def classify_limits(params: ModelParams) -> LimitClassification:
@@ -185,10 +198,10 @@ def classify_limits(params: ModelParams) -> LimitClassification:
 
     Raises ValueError when ``field != 0``, as :func:`investment_at_beta_infinity` does.
     """
-    beta_infinity = investment_at_beta_infinity(params)
-    unique = params.couplings.unique_min_index() is not None
+    beta_infinity, law = _limit_and_law(params)
     return LimitClassification(
         beta_zero=math.fsum(params.levels) / params.q,
-        beta_infinity=beta_infinity if unique else None,
-        unique_min=unique,
+        beta_infinity=beta_infinity,
+        unique_min=params.couplings.unique_min_index() is not None,
+        law=law,
     )

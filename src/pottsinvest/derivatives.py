@@ -6,9 +6,10 @@ The per-capita investment at inverse control parameter beta and bias D is
 
 with lambda_1 the dominant transfer-matrix eigenvalue.  By Hellmann-Feynman
 (Feynman, Phys. Rev. 56, 1939) the bias derivative is exact in terms of the
-unit dominant eigenvector v at any bias: l = sum_a d_a v_a^2, a convex
-combination of the levels.  That is the default path, with v from the
-secular equation in :mod:`.transfer`.
+dominant eigenvector v at any bias: l = sum_a d_a v_a^2 / sum_a v_a^2, a
+convex combination of the levels.  That is the default path, with v the raw
+secular weights of :mod:`.transfer`, never normalised, since the division
+by sum_a v_a^2 does that.
 
 The paper instead differentiates numerically; passing a
 :class:`StencilConfig` reproduces that as a cross-check.  Two stencils are
@@ -146,7 +147,7 @@ def _curve_setup(params: ModelParams) -> tuple:
 
 
 def _investment(setup: tuple, beta: float) -> float:
-    """l at one beta >= 0 from a curve's setup: one secular solve, then sum_a d_a v_a^2.
+    """l at one beta >= 0 from a curve's setup: one secular solve, then sum d v^2 / sum v^2.
 
     At beta = 0 it is the plain mean of the levels.
     """
@@ -157,10 +158,10 @@ def _investment(setup: tuple, beta: float) -> float:
         v = _biased_pair(j, lev, beta, field)[1]
     else:
         v = _unbiased_root(beta, j_min, j_span)
-    # Dividing by sum v_a^2 (1 up to rounding) makes ties exact: equal
+    # v is unnormalised; dividing by sum v_a^2 also makes ties exact: equal
     # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
     weights = v * v
-    return min(max(float(np.dot(lev, weights) / weights.sum()), low), high)
+    return min(max(float((lev * weights).sum() / weights.sum()), low), high)
 
 
 def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None) -> float:

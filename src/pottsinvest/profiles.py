@@ -108,8 +108,9 @@ class SeedEnsemble:
     """Per-seed investment curves plus their pointwise mean.
 
     ``unique_min_flags[i]`` records whether seed i's coupling vector has a
-    strictly unique minimum, which decides whether its large-beta endpoint
-    admits a single-level classification.
+    strictly unique minimum.  Every seed's large-beta endpoint is exact
+    either way (:func:`.closedform.classify_limits`); a unique negative
+    minimum is the one case where it is a single level.
     """
 
     seeds: tuple[int, ...]

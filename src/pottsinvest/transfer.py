@@ -20,13 +20,19 @@ weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
 itself.  That one solve gives log lambda_1 and v at any bias, l(beta, D)
 at D != 0 and the bias stencil of :mod:`.derivatives`, and log Z_N on long
 rings.  At zero bias every weight is 1, and l takes the unit-weight solve
-of :func:`_unbiased_root`; :func:`investment_lanes` runs that solve on many
-coupling vectors at once, as the lanes (columns) of a level-major (q, n)
-block whose every step and sum is elementwise across lanes.  log Z_N
-decides its route once from the same O(q) decomposition: N = 1 from the
-diagonal exponents; N log lambda_1 when interlacing and a lower bound on
-lambda_1 prove the rest of the spectrum below rounding; otherwise Tr M^N of
-the positive rescaled matrix by binary powering, where nothing cancels.
+of :func:`_unbiased_root`.  Both solves hand back v as its raw secular
+weights, unnormalised, since l divides by sum_a v_a^2 anyway; only
+:func:`dominant_eigenvalue`, which returns v, scales it to unit length.
+Every sum in these O(q) solves is a numpy reduction, not a BLAS call, so
+the BLAS kernel decides none of their bits; BLAS serves only the O(q^3)
+matrix products of log Z's powering route.  :func:`investment_lanes` runs
+the unit-weight solve on many coupling vectors at once, as the lanes
+(columns) of a level-major (q, n) block whose every step and sum is
+elementwise across lanes.  log Z_N decides its route once from the same
+O(q) decomposition: N = 1 from the diagonal exponents; N log lambda_1 when
+interlacing and a lower bound on lambda_1 prove the rest of the spectrum
+below rounding; otherwise Tr M^N of the positive rescaled matrix by binary
+powering, where nothing cancels.
 """
 
 from __future__ import annotations
@@ -160,7 +166,7 @@ def _secular_root(delta: np.ndarray, mu: float) -> float:
     for _ in range(_NEWTON_CAP):
         w = 1.0 / (mu + delta)
         s1 = float(w.sum())
-        excess, s2 = s1 - 1.0, float(w @ w)
+        excess, s2 = s1 - 1.0, float((w * w).sum())
         step = excess * s1 / s2
         mu += step
         if step <= _NEWTON_RTOL * mu:
@@ -213,11 +219,11 @@ def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, 
     np.multiply(delta, -top, out=delta)
     nu = _lower_bound(delta, c, top)
     gap = delta + c
-    w, cw = np.empty_like(gap), np.empty_like(gap)
+    w, cw, cww = np.empty((3, len(gap)))
     for _ in range(_NEWTON_CAP):
         np.divide(1.0, np.add(gap, nu, out=w), out=w)
         np.multiply(c, w, out=cw)
-        s2 = float(cw @ w)
+        s2 = float(np.multiply(cw, w, out=cww).sum())
         m = int(cw.argmax())
         cw[m] = -(nu + delta[m]) * w[m]
         excess = float(cw.sum())
@@ -235,16 +241,18 @@ def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, 
 def _biased_pair(
     j: np.ndarray, lev: np.ndarray, beta: float, field: float
 ) -> tuple[float, np.ndarray]:
-    """(log lambda_1, v) at bias ``field`` from the arrays :func:`_rank_one` reads."""
+    """(log lambda_1, v) at bias ``field`` from the arrays :func:`_rank_one` reads.
+
+    v_a = s_a / (nu + Delta_a + c_a), the dominant eigenvector unnormalised.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         t, z_max, dz, c, _, _ = _rank_one(j, lev, beta, field)
         log_top, nu, delta = _weighted_root(z_max, dz, c)
-    v = np.sqrt(c) / (nu + delta + c)
-    return t + log_top, v / float(np.linalg.norm(v))
+    return t + log_top, np.sqrt(c) / (nu + delta + c)
 
 
 def _unbiased_root(beta: float, j_min: float, j_span: np.ndarray) -> np.ndarray:
-    """The unit dominant eigenvector at zero bias, from j_span = J - J_min.
+    """The dominant eigenvector at zero bias, unnormalised, from j_span = J - J_min.
 
     At zero bias s_a = 1, and the solve is written for mu = nu + 1 instead:
     mu is the root in [1, q] of sum_a 1 / (mu + Delta_a) = 1, Newton starts
@@ -259,8 +267,7 @@ def _unbiased_root(beta: float, j_min: float, j_span: np.ndarray) -> np.ndarray:
         dx = -beta * j_span
         _require_finite(dx + x_max)
     delta, mu = _secular_start(dx, x_max)
-    w = 1.0 / (_secular_root(delta, float(mu)) + delta)
-    return w / float(np.linalg.norm(w))
+    return 1.0 / (_secular_root(delta, float(mu)) + delta)
 
 
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
@@ -269,12 +276,14 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     Returns (log lambda_1, v) with v the unit, entrywise positive dominant
     eigenvector.  M = exp(t) (diag(exp(z_max + dz) - c) + s s^T) (see
     :func:`_rank_one`), lambda_1 comes from :func:`_weighted_root`, and v_a
-    is proportional to s_a / (nu + Delta_a + c_a); zero bias takes the same
-    weighted solve, with every s_a = 1.
+    is s_a / (nu + Delta_a + c_a) divided by its norm, the one place the
+    package normalises v; zero bias takes the same weighted solve, with
+    every s_a = 1.
     """
-    return _biased_pair(
+    log_lambda, v = _biased_pair(
         np.array(params.couplings.values), np.array(params.levels), params.beta, params.field
     )
+    return log_lambda, v / math.sqrt((v * v).sum())
 
 
 def _level_sum(a: np.ndarray) -> np.ndarray:
@@ -351,7 +360,7 @@ def _lambda1_floor(diag: np.ndarray, c: np.ndarray) -> float:
     c)^2 would cancel; a weight that overflows makes it nan, and L is 1.
     """
     cum = c.cumsum()
-    rayleigh = (np.dot(c, diag) + 2.0 * np.dot(c[1:], cum[:-1])) / cum[-1]
+    rayleigh = ((c * diag).sum() + 2.0 * (c[1:] * cum[:-1]).sum()) / cum[-1]
     return rayleigh if rayleigh > 1.0 else 1.0
 
 

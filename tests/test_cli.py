@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: flags, config files, CSV output, exit codes."""
 
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -121,23 +123,27 @@ class TestEmitLimits:
         ]
 
     def test_nonnegative_minimum_footer(self, tmp_path):
-        # A penalised minimum still settles away from its level: the exact
-        # beta -> infinity value here is the level mean.
+        # A penalised minimum settles away from its level: the exact
+        # beta -> infinity value is the level mean, and the footer says so.
         out = tmp_path / "curve.csv"
         assert run_cli("--q", "2", "--couplings", "1,2", "--beta-count", "2",
                        "--emit-limits", "--out", str(out)) == 0
         _, _, comments = read_rows(out)
-        assert (
-            "# investment_at_beta_infinity = 0.5 (unique coupling minimum at level 0)"
-            in comments
-        )
+        assert comments == [
+            "# investment_at_beta_zero = 0.5",
+            "# investment_at_beta_infinity = 0.5 (coupling minimum above 0: mean of all levels)",
+        ]
 
     def test_tied_minimum_footer(self, tmp_path):
+        # A tied minimum has an exact endpoint too: here the J_min = 0 root law.
         out = tmp_path / "curve.csv"
-        run_cli("--q", "2", "--couplings", "0,0", "--beta-count", "2",
-                "--emit-limits", "--out", str(out))
+        assert run_cli("--q", "2", "--couplings", "0,0", "--beta-count", "2",
+                       "--emit-limits", "--out", str(out)) == 0
         _, _, comments = read_rows(out)
-        assert any("undefined" in c and "multiple levels" in c for c in comments)
+        assert comments == [
+            "# investment_at_beta_zero = 0.5",
+            "# investment_at_beta_infinity = 0.5 (coupling minimum 0 at levels 0, 1: root law)",
+        ]
 
 
 class TestEnsembleRuns:
@@ -199,12 +205,14 @@ class TestEnsembleRuns:
         )
         assert out.read_text() == plain.read_text() + "\n".join(footer) + "\n"
         # The beta = 0 value once, first; then one endpoint per seed, in seed
-        # order.  Seed 3 has a tied coupling minimum, so its endpoint is undefined.
+        # order.  Both seeds' couplings are at least 1, seed 3's minimum
+        # tied at levels 0 and 3, so each endpoint is the level mean.
         assert comments == [
             "# investment_at_beta_zero = 7.0",
-            "# seed 1: investment_at_beta_infinity = 7.0 (unique coupling minimum at level 8)",
-            "# seed 3: investment_at_beta_infinity = undefined "
-            "(coupling minimum attained at multiple levels)",
+            "# seed 1: investment_at_beta_infinity = 7.0 "
+            "(coupling minimum above 0: mean of all levels)",
+            "# seed 3: investment_at_beta_infinity = 7.0 "
+            "(coupling minimum above 0: mean of all levels)",
         ]
 
 
@@ -558,3 +566,72 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("beta,l\n")
+
+
+# 400 fixed draws (q 2-60, |D| <= 1, beta 0.01-30), one line of hex digits
+# per draw: biased l, the four-point stencil, log lambda_1 and v, and log Z
+# of a 10^12-site ring, long enough that most draws take the secular
+# shortcut.  log Z's powering route multiplies matrices through BLAS by
+# design, so a draw that would take it prints "powering" instead.
+_DRAW_HASHES = textwrap.dedent("""
+    import numpy as np
+    from pottsinvest import (CouplingProfile, ModelParams, StencilConfig, dominant_eigenvalue,
+                             log_partition_function, per_capita_investment, transfer)
+
+    def powering(a, n):
+        raise LookupError("powering")
+
+    def eigenpair(p):
+        log_lambda, v = dominant_eigenvalue(p)
+        return log_lambda.hex() + v.tobytes().hex()
+
+    transfer._log_trace_power = powering
+    rng = np.random.default_rng(20261019)
+    for _ in range(400):
+        q = int(rng.integers(2, 61))
+        j = CouplingProfile(tuple(float(x) for x in rng.uniform(-2.0, 2.0, q)))
+        p = ModelParams(q, float(10.0 ** rng.uniform(-2.0, np.log10(30.0))), j,
+                        field=float(rng.uniform(-1.0, 1.0)))
+        cells = []
+        for f in (lambda: per_capita_investment(p).hex(),
+                  lambda: per_capita_investment(p, StencilConfig()).hex(),
+                  lambda: eigenpair(p),
+                  lambda: log_partition_function(p, 10**12).hex()):
+            try:
+                cells.append(f())
+            except Exception as exc:
+                cells.append(type(exc).__name__ + str(exc))
+        print(" ".join(cells))
+""")
+
+
+class TestBlasKernel:
+    """The BLAS kernel numpy picks at run time decides no printed bit."""
+
+    @staticmethod
+    def run_both(args):
+        outs = []
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run(
+                [sys.executable, *args], capture_output=True, timeout=300,
+                env={**env, **extra},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        return outs
+
+    def test_single_curve_bytes(self):
+        default, prescott = self.run_both(
+            ["-m", "pottsinvest", "--q", "10", "--profile", "aggressive"]
+        )
+        assert default.count(b"\n") == 201
+        assert default == prescott
+
+    def test_solves_on_fixed_draws(self):
+        default, prescott = self.run_both(["-c", _DRAW_HASHES])
+        lines = default.decode().splitlines()
+        assert len(lines) == 400
+        # Most draws reach every solve: they neither raise nor need powering.
+        assert sum("Error" not in l and "powering" not in l for l in lines) >= 300
+        assert default == prescott

@@ -238,13 +238,36 @@ class TestClassifyLimits:
     def test_unique_minimum(self):
         p = ModelParams(q=5, beta=1.0, couplings=CouplingProfile((3.0, 1.0, 0.0, 2.0, 4.0)))
         info = classify_limits(p)
-        assert info == LimitClassification(beta_zero=2.0, beta_infinity=2.0, unique_min=True)
+        assert info == LimitClassification(
+            beta_zero=2.0, beta_infinity=2.0, unique_min=True,
+            law="coupling minimum 0 at level 2: root law",
+        )
 
     def test_tied_minimum_is_unclassified(self):
+        # No single level classifies a tied minimum, but its endpoint is
+        # still exact: mu = (3 + sqrt 17) / 2, and l = ((mu + 1)^2 + 5 mu^2)
+        # / (2 (mu + 1)^2 + 2 mu^2), correctly rounded.
         p = ModelParams(q=4, beta=1.0, couplings=CouplingProfile((0.0, 0.0, 1.0, 2.0)))
         info = classify_limits(p)
-        assert not info.unique_min
-        assert info.beta_infinity is None
+        assert info == LimitClassification(
+            beta_zero=1.5, beta_infinity=1.257464374963667, unique_min=False,
+            law="coupling minimum 0 at levels 0, 1: root law",
+        )
+
+    def test_each_law_names_itself(self):
+        def law(j):
+            return classify_limits(ModelParams(q=len(j), beta=1.0, couplings=CouplingProfile(j)))
+
+        assert law((0.5, -1.0, 2.0)).law == "unique coupling minimum at level 1"
+        tied = law((-1.0, 0.0, -1.0, 2.0))
+        assert (tied.beta_infinity, tied.law) == (
+            1.0, "coupling minimum below 0 at levels 0, 2: their mean"
+        )
+        above = law((1.0, 2.0, 1.0))
+        assert (above.beta_infinity, above.law) == (
+            1.0, "coupling minimum above 0: mean of all levels"
+        )
+        assert law((1.0, 0.0, 0.0)).law == "coupling minimum 0 at levels 1, 2: root law"
 
     def test_two_level_mean(self):
         p = ModelParams(q=2, beta=1.0, couplings=CouplingProfile((0.3, -0.8)))
@@ -283,8 +306,8 @@ class TestInvestmentAtBetaInfinity:
         assert limit_of((3.0, 1.0, 0.0, 2.0, 4.0)) == 2.0
         assert limit_of((0.0, 0.0, 0.0)) == 1.0
         # Both q = 3 endpoints have mu = 1 + sqrt 3.
-        assert limit_of((0.0, 0.0, 1.0)) == pytest.approx(Q3_CASE1_POSITIVE_J_LIMIT, rel=2e-16)
-        assert limit_of((1.0, 0.0, 0.0)) == pytest.approx(Q3_CASE3_POSITIVE_J_LIMIT, rel=2e-16)
+        assert limit_of((0.0, 0.0, 1.0)) == Q3_CASE1_POSITIVE_J_LIMIT
+        assert limit_of((1.0, 0.0, 0.0)) == Q3_CASE3_POSITIVE_J_LIMIT
 
     @given(
         ints=st.lists(st.integers(-3, 3), min_size=2, max_size=40),

@@ -361,7 +361,8 @@ class TestBiasedInvestment:
     """l(beta, D) = sum_a d_a v_a^2 at nonzero bias, ties included."""
 
     # A rounding of one entry turns a dominant eigenvector by about 2^-52
-    # over the relative spectral gap (Davis-Kahan).  Near a tie, or where the
+    # over the relative spectral gap (Davis-Kahan), so the reference matrix
+    # rounds each entry once, from exact exponents.  Near a tie, or where the
     # bias makes two levels cross, l is only as good as that, so errors are
     # weighted down by the gap below 0.1.  At couplings (0, 0, -2, 0, -2),
     # beta = 10 and D = 5e-231 the gap is 4.1e-9 and eigh's l is 1.1e-7 off;
@@ -377,7 +378,7 @@ class TestBiasedInvestment:
     def test_matches_dense_hellmann_feynman(self, couplings, log_beta, field):
         q = len(couplings)
         p = params_for(q, 10.0**log_beta, couplings, field=field)
-        values, vectors = np.linalg.eigh(dense_matrix(p)[0])
+        values, vectors = np.linalg.eigh(dense_matrix(p, exact_exponents=True)[0])
         v = vectors[:, -1]
         want = float(np.dot(p.levels, v * v))
         gap = (values[-1] - values[-2]) / values[-1]

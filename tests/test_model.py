@@ -161,7 +161,8 @@ class TestPartitionFunction:
                 assert allowed == (q**n <= ENUMERATION_STATE_CAP), (q, n)
 
     def test_refuses_a_huge_ring_without_counting_its_states(self):
-        # 2**(10**7) would be a 1.25 MB integer; the refusal reads only logs.
+        # 2**(10**7) would be a 1.25 MB integer; the refusal compares the
+        # ring length with the cap's bit length and never forms it.
         p = params_for(2, 1.0, (0.0, 0.0))
         with pytest.raises(EnumerationCapError):
             partition_function_bruteforce(p, 10**7)
