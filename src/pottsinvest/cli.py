@@ -9,8 +9,8 @@ the per-point absolute error is emitted instead.  Every l(beta) comes from
 the exact secular equation: a single curve's points from
 :func:`.derivatives.sweep_curve`, bit for bit
 :func:`.derivatives.per_capita_investment`, and an ensemble's from the
-batched lanes of :func:`.transfer.investment_lanes`; the finite-difference
-stencil is a library-only cross-check.
+batched lanes of :func:`.transfer.investment_lanes`, the same bits again;
+the finite-difference stencil is a library-only cross-check.
 
 Settings come from flags, from a ``key=value`` file via ``--config``
 (``#`` starts a comment), or both.  Every long flag except ``--config`` is
@@ -222,8 +222,8 @@ def _beta_grid(args: argparse.Namespace) -> list[float]:
     if args.beta_max <= args.beta_min:
         raise ConfigError("beta-max must exceed beta-min")
     if args.log_grid:
-        return [float(b) for b in np.geomspace(args.beta_min, args.beta_max, args.beta_count)]
-    return [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.beta_count)]
+        return np.geomspace(args.beta_min, args.beta_max, args.beta_count).tolist()
+    return np.linspace(args.beta_min, args.beta_max, args.beta_count).tolist()
 
 
 def _params(args: argparse.Namespace) -> ModelParams:

@@ -26,11 +26,11 @@ Both beta sweeps live here.  :func:`sweep_curve` solves a single curve
 point by point from one setup, each point bit for bit the value
 :func:`per_capita_investment` gives.  :func:`_sweep_lanes`, behind the
 random-profile ensembles of :mod:`.profiles`, lays every (seed, beta) point
-out as one lane (column) of a level-major block of exponent gaps -beta (J
-- J_min) and solves the lanes together with
-:func:`.transfer.investment_lanes`, a bounded block at a time.  Lanes never
-mix in an operation, so each seed's curve is bitwise the one it would have
-if swept alone.
+out as one lane, a contiguous row of exponent gaps -beta (J - J_min), and
+solves the lanes together with :func:`.transfer.investment_lanes`, a
+bounded block at a time.  Lanes never mix in an operation and each row is
+summed as a single point is, so each seed's curve is bitwise the one
+:func:`sweep_curve` gives on its couplings, swept alone or with others.
 """
 
 from __future__ import annotations
@@ -217,24 +217,28 @@ def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
 
 
 def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
-    """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q)."""
+    """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q).
+
+    A block is a (seeds, betas, q) rectangle of exponent gaps, so each lane
+    is one contiguous row of q levels, in (seed, beta) order.
+    """
     q = len(levels)
     # The grid is increasing and non-negative, so only its first point can be 0.
     skip = 1 if grid[0] == 0.0 else 0
     out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
     neg_beta = -np.asarray(grid[skip:])
     j_min = couplings.min(axis=1, keepdims=True)
-    # A block is a rectangle of seeds x betas holding at most _BLOCK
-    # exponents.  It spans several seeds only when it holds their whole
-    # grids, so blocks run seed by seed, beta by beta.
+    # A block holds at most _BLOCK exponents.  It spans several seeds only
+    # when it holds their whole grids, so blocks run seed by seed, beta by
+    # beta.
     width = max(1, min(len(neg_beta), _BLOCK // q))
     height = max(1, _BLOCK // (q * width))
     for s0 in range(0, len(seeds), height):
-        j = (couplings[s0 : s0 + height] - j_min[s0 : s0 + height]).T[:, :, None]
+        j = (couplings[s0 : s0 + height] - j_min[s0 : s0 + height])[:, None, :]
         for b0 in range(0, len(neg_beta), width):
             b = neg_beta[b0 : b0 + width]
             with np.errstate(over="ignore"):
-                dx = np.multiply(b, j, order="C").reshape(q, -1)
+                dx = np.multiply(b[:, None], j).reshape(-1, q)
                 x_max = np.multiply(b, j_min[s0 : s0 + height]).reshape(-1)
             try:
                 l = investment_lanes(dx, x_max, levels)

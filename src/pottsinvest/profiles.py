@@ -22,8 +22,10 @@ and a uniform draw on [0, 1) takes the top 53 bits, (output >> 11) / 2**53.
 An ensemble sweep draws one random profile per seed and keeps the
 bookkeeping: the per-seed curves, their fsum mean and the minimum flags.
 The numbers come from :func:`.derivatives._sweep_lanes`, the batched
-beta sweep, which solves every (seed, beta) point as one lane of a block;
-this module touches no solver itself.
+beta sweep, which solves every (seed, beta) point as one contiguous row of
+a block, summed as a single point is, so each member's curve is bit for
+bit :func:`.derivatives.sweep_curve` on its couplings; this module touches
+no solver itself.
 """
 
 from __future__ import annotations
@@ -124,9 +126,10 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
 
     Every (seed, beta > 0) lane is solved by :func:`.transfer.investment_lanes`
     in blocks (:func:`.derivatives._sweep_lanes`); beta = 0 lanes take the
-    exact level mean.  A seed's curve is bitwise the same whether it is
-    swept alone or with other seeds.  The mean uses exact (fsum)
-    accumulation, so it is invariant under permutations of the seed list.
+    exact level mean.  A seed's curve is bitwise the one
+    :func:`.derivatives.sweep_curve` gives on its couplings, swept alone or
+    with other seeds.  The mean uses exact (fsum) accumulation, so it is
+    invariant under permutations of the seed list.
     The first failing lane, seed by seed and beta by beta, raises
     :class:`.derivatives.SweepError` naming its beta and seed.
     """

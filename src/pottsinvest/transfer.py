@@ -26,13 +26,13 @@ weights, unnormalised, since l divides by sum_a v_a^2 anyway; only
 Every sum in these O(q) solves is a numpy reduction, not a BLAS call, so
 the BLAS kernel decides none of their bits; BLAS serves only the O(q^3)
 matrix products of log Z's powering route.  :func:`investment_lanes` runs
-the unit-weight solve on many coupling vectors at once, as the lanes
-(columns) of a level-major (q, n) block whose every step and sum is
-elementwise across lanes.  log Z_N decides its route once from the same
-O(q) decomposition: N = 1 from the diagonal exponents; N log lambda_1 when
-interlacing and a lower bound on lambda_1 prove the rest of the spectrum
-below rounding; otherwise Tr M^N of the positive rescaled matrix by binary
-powering, where nothing cancels.
+the unit-weight solve on many coupling vectors at once, one contiguous row
+of q levels per lane, each row summed as a single point is, so every lane
+is bit for bit the single solve.  log Z_N decides its route once from the
+same O(q) decomposition: N = 1 from the diagonal exponents; N log lambda_1
+when interlacing and a lower bound on lambda_1 prove the rest of the
+spectrum below rounding; otherwise Tr M^N of the positive rescaled matrix
+by binary powering, where nothing cancels.
 """
 
 from __future__ import annotations
@@ -92,19 +92,21 @@ def _largest(x: np.ndarray) -> float:
 
 
 def _secular_start(dx: np.ndarray, x_max) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps Delta and Newton starts along the first (level) axis of exponents x_max + dx, dx <= 0.
+    """Gaps Delta and Newton starts along the last (level) axis of exponents x_max + dx, dx <= 0.
 
     Delta_a = exp(x_max + log(-expm1(dx_a))), formed in place in dx, is 0 on
     tied levels and inf where it overflows; the start is the number of zero
-    gaps.  dx formed as -beta (J(a) - J_min) keeps the split of a near-tie.
-    Gaps of a lane with a non-finite exponent mean nothing; callers reject it.
+    gaps.  x_max broadcasts against dx: a float for one vector, an (n, 1)
+    column for n rows of levels.  dx formed as -beta (J(a) - J_min) keeps
+    the split of a near-tie.  Gaps of a lane with a non-finite exponent
+    mean nothing; callers reject it.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         delta = np.expm1(dx, out=dx)
         np.negative(delta, out=delta)
         np.log(delta, out=delta)
         np.exp(np.add(delta, x_max, out=delta), out=delta)
-    return delta, (delta == 0.0).sum(axis=0, dtype=float)
+    return delta, (delta == 0.0).sum(axis=-1, dtype=float)
 
 
 def _unsettled(residual: float) -> ConvergenceError:
@@ -286,24 +288,8 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     return log_lambda, v / math.sqrt((v * v).sum())
 
 
-def _level_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of a over its first (level) axis by a fixed pairwise tree; a is overwritten.
-
-    Only elementwise adds touch the data, so a lane's bits depend neither on
-    how many lanes share the block nor on its memory layout.  numpy's own
-    reductions promise neither: they sum a contiguous axis pairwise and a
-    strided one in order.
-    """
-    m = len(a)
-    while m > 1:
-        half = m // 2
-        np.add(a[:half], a[m - half : m], out=a[:half])
-        m -= half
-    return a[0]
-
-
 def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
-    """Per-capita investment l for every lane (column) of exponents x_max + dx, dx (q, n) <= 0.
+    """Per-capita investment l for every lane (row) of exponents x_max + dx, dx (n, q) <= 0.
 
     dx_a = -beta (J(a) - J_min), which is overwritten, and x_max = -beta
     J_min keep near-ties exact.  Each lane is solved as
@@ -312,28 +298,27 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
     Every step runs on the whole block; a lane whose step has settled gets
     steps of exactly 0 from then on, so it takes exactly the steps it would
     take alone.  Then l = sum_a d_a w_a^2 / sum_a w_a^2 with w_a = 1 / (mu +
-    Delta_a), clamped to [d_0, d_{q-1}].  Every sum over levels is
-    :func:`_level_sum`, so each lane's bits are the same alone, in any
-    block and in any memory layout.  The two sums a step or the final pass
-    needs sit side by side in one (q, 2n) buffer, so one tree gives both.
+    Delta_a), clamped to [d_0, d_{q-1}].  The terms of every sum over
+    levels sit in one contiguous row per lane of a C-ordered work buffer,
+    whatever layout dx has, and numpy sums each row with the pairwise loop
+    it runs on a single vector: each lane's bits are those of the single
+    solve, alone, in any block and in any memory layout.
 
     A lane with a non-finite exponent raises ValueError, and a lane still
     moving after the step cap raises :class:`ConvergenceError`; the
     exception's ``lane`` attribute is the lowest such lane.
     """
     lev = np.asarray(levels, dtype=float)
-    finite = np.isfinite(dx).all(axis=0) & np.isfinite(x_max)
-    delta, mu = _secular_start(dx, x_max)
-    n = len(mu)
-    pair = np.empty((len(delta), 2 * n))
-    w, ww = pair[:, :n], pair[:, n:]
+    finite = np.isfinite(dx).all(axis=-1) & np.isfinite(x_max)
+    delta, mu = _secular_start(dx, x_max[:, None])
+    pair = np.empty((2,) + delta.shape)
+    w, ww = pair
     moving = finite.copy()
     for _ in range(_NEWTON_CAP):
-        np.divide(1.0, np.add(delta, mu, out=w), out=w)
+        np.divide(1.0, np.add(delta, mu[:, None], out=w), out=w)
         np.multiply(w, w, out=ww)
-        sums = _level_sum(pair)
-        s1 = sums[:n]
-        step = (s1 - 1.0) * s1 / sums[n:]
+        s1, s2 = pair.sum(axis=-1)
+        step = (s1 - 1.0) * s1 / s2
         np.copyto(step, 0.0, where=~moving)
         mu += step
         moving &= ~(step <= _NEWTON_RTOL * mu)
@@ -345,12 +330,11 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
         exc = _unsettled(float(step[lane])) if finite[lane] else ValueError(_OVERFLOW)
         exc.lane = lane
         raise exc
-    np.divide(1.0, np.add(delta, mu, out=w), out=w)
+    np.divide(1.0, np.add(delta, mu[:, None], out=w), out=w)
     np.multiply(w, w, out=ww)
-    np.multiply(ww, lev[:, None], out=w)
-    sums = _level_sum(pair)
-    l = sums[:n] / sums[n:]
-    return np.minimum(np.maximum(l, lev[0]), lev[-1])
+    np.multiply(ww, lev, out=w)
+    dv2, v2 = pair.sum(axis=-1)
+    return np.minimum(np.maximum(dv2 / v2, lev[0]), lev[-1])
 
 
 def _lambda1_floor(diag: np.ndarray, c: np.ndarray) -> float:

@@ -332,7 +332,7 @@ class TestNearTiedMinima:
         assert abs(per_capita_investment(p) - want) <= 1e-14 * (q - 1)
         j = np.array(couplings)
         lane = transfer.investment_lanes(
-            -beta * (j - j.min())[:, None], np.array([-beta * j.min()]), p.levels
+            -beta * (j - j.min())[None, :], np.array([-beta * j.min()]), p.levels
         )
         assert abs(float(lane[0]) - want) <= 1e-14 * (q - 1)
 

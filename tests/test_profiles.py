@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pottsinvest import (
@@ -197,6 +197,48 @@ class TestEnsembleSweep:
 beta_grids = st.lists(
     st.floats(min_value=1e-3, max_value=999.0, allow_nan=False), max_size=12, unique=True
 ).map(lambda inner: [0.0] + sorted(inner) + [1e3])
+
+
+# Grids as the CLI builds them: linear from 0, or logarithmic.
+linear_grids = st.builds(
+    lambda top, n: np.linspace(0.0, top, n).tolist(), st.floats(0.1, 50.0), st.integers(2, 40)
+)
+log_grids = st.builds(
+    lambda low, decades, n: np.geomspace(low, low * 10.0**decades, n).tolist(),
+    st.floats(1e-3, 1.0),
+    st.floats(1.0, 6.0),
+    st.integers(2, 40),
+)
+LOG_GRID = np.geomspace(1e-3, 1e3, 81).tolist()
+LINEAR_GRID = np.linspace(0.0, 10.0, 200).tolist()
+
+
+class TestOneZeroBiasL:
+    """An ensemble member's l is the single curve's, bit for bit, at every q."""
+
+    @given(
+        q=st.integers(2, 200),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4, unique=True),
+        grid=linear_grids | log_grids,
+        picks=st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+    )
+    # numpy sums a row of fewer than 8 terms in order, up to 128 in eight
+    # running sums, and beyond that in halves: q = 8, 9, 129 and 130 sit on
+    # those edges.
+    @example(q=8, seeds=[1, 2, 3, 4], grid=LOG_GRID, picks=[0, 40, 80])
+    @example(q=9, seeds=[5], grid=LINEAR_GRID, picks=[0, 1, 199])
+    @example(q=129, seeds=[1, 2], grid=LINEAR_GRID, picks=[1, 100, 199])
+    @example(q=130, seeds=[3, 4, 5], grid=LOG_GRID, picks=[0, 60, 80])
+    @settings(max_examples=60, deadline=None)
+    def test_ensemble_values_are_the_single_curve(self, q, seeds, grid, picks):
+        ens = ensemble_sweep(q, seeds, grid)
+        for seed, curve in zip(seeds, ens.curves):
+            couplings = make_profile(ProfileSpec("random", q, seed))
+            alone = sweep_curve(ModelParams(q, 0.0, couplings), grid)
+            assert curve.points == alone.points
+            for k in picks:
+                beta, l = curve.points[k % len(grid)]
+                assert per_capita_investment(ModelParams(q, beta, couplings)) == l
 
 
 class TestBatchedEnsemble:

@@ -241,7 +241,7 @@ class TestInvestmentLanes:
         j = np.array([[-1.0], [-1.0], [0.0]])
         x = -j * np.array([40.0, 1000.0])
         top = x.max(axis=0)
-        assert transfer.investment_lanes(x - top, top, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
+        assert transfer.investment_lanes((x - top).T, top, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("q", [8, 9, 15, 60])
     def test_bits_do_not_depend_on_block_or_layout(self, q):
@@ -250,14 +250,14 @@ class TestInvestmentLanes:
         rng = np.random.default_rng(q)
         x = -rng.integers(0, q, (q, 1000)) * rng.uniform(0.01, 10.0, 1000)
         top = x.max(axis=0)
-        dx = x - top
+        dx = np.ascontiguousarray((x - top).T)
         levels = tuple(float(a) for a in range(q))
         want = transfer.investment_lanes(dx.copy(), top, levels).tobytes()
         for n in (1, 2, 3):
             spans = range(0, 1000, n)
             fresh = dx.copy()
-            views = [fresh[:, i : i + n] for i in spans]
-            for blocks in (views, [np.ascontiguousarray(dx[:, i : i + n]) for i in spans]):
+            views = [fresh[i : i + n] for i in spans]
+            for blocks in (views, [dx[i : i + n].copy() for i in spans]):
                 lanes = [
                     transfer.investment_lanes(b, top[i : i + n], levels)
                     for b, i in zip(blocks, spans)
@@ -265,7 +265,7 @@ class TestInvestmentLanes:
                 assert np.concatenate(lanes).tobytes() == want
         for layout in (
             np.asfortranarray(dx),
-            np.ascontiguousarray(dx.T).T,  # the lane-major (n, q) array, viewed level-major
+            np.ascontiguousarray(dx.T).T,  # the level-major (q, n) array, viewed lane-major
             np.stack([dx, dx], axis=-1)[..., 0],  # strided in both axes
         ):
             assert transfer.investment_lanes(layout, top, levels).tobytes() == want
@@ -280,7 +280,7 @@ class TestInvestmentLanes:
 
         def solve(*lanes):
             dx, x_max = zip(*lanes)
-            return transfer.investment_lanes(np.array(dx).T, np.array(x_max), levels)
+            return transfer.investment_lanes(np.array(dx), np.array(x_max), levels)
 
         with pytest.raises(ConvergenceError) as info:
             solve(settled, unsettled, overflow)
@@ -291,21 +291,24 @@ class TestInvestmentLanes:
         assert info.value.lane == 1
 
     def test_nan_step_keeps_its_lane_moving(self, monkeypatch):
-        # A nan in lane 1's first level sums (of 3 lanes, so every third
-        # entry from 1) makes its step, and so its mu, nan.  A nan step is
-        # not a settled one: the lane must run out of steps and raise, not
-        # leave the loop with l = nan.
-        level_sum, calls = transfer._level_sum, []
+        # A nan start in lane 1 (of 3) makes its steps, and so its mu, nan.
+        # A nan step is not a settled one: the lane must run out of steps
+        # and raise, not leave the loop with l = nan.
+        secular_start, calls = transfer._secular_start, []
 
-        def poisoned(a):
-            sums = level_sum(a)
-            if not calls:
-                sums.reshape(-1, 3)[:, 1] = math.nan
-            calls.append(len(sums))
-            return sums
+        class Counted(np.ndarray):
+            # Starts that count the Newton steps added to them.
+            def __iadd__(self, step):
+                calls.append(len(step))
+                return super().__iadd__(step)
 
-        monkeypatch.setattr(transfer, "_level_sum", poisoned)
-        dx = np.array([[-2.0, -2.0, -2.0], [0.0, 0.0, 0.0]])
+        def poisoned(dx, x_max):
+            delta, mu = secular_start(dx, x_max)
+            mu[1] = math.nan
+            return delta, mu.view(Counted)
+
+        monkeypatch.setattr(transfer, "_secular_start", poisoned)
+        dx = np.array([[-2.0, 0.0], [-2.0, 0.0], [-2.0, 0.0]])
         with pytest.raises(ConvergenceError) as info:
             transfer.investment_lanes(dx, np.ones(3), (0.0, 1.0))
         assert info.value.lane == 1
