@@ -25,12 +25,15 @@ eigenvalue, which can be astronomically large, is never formed.
 Both beta sweeps live here.  :func:`sweep_curve` solves a single curve
 point by point from one setup, each point bit for bit the value
 :func:`per_capita_investment` gives.  :func:`_sweep_lanes`, behind the
-random-profile ensembles of :mod:`.profiles`, lays every (seed, beta) point
-out as one lane, a contiguous row of exponent gaps -beta (J - J_min), and
-solves the lanes together with :func:`.transfer.investment_lanes`, a
-bounded block at a time.  Lanes never mix in an operation and each row is
-summed as a single point is, so each seed's curve is bitwise the one
-:func:`sweep_curve` gives on its couplings, swept alone or with others.
+random-profile ensembles of :mod:`.profiles`, passes every seed's J - J_min
+and J_min with a column of -beta to :func:`.transfer.investment_lanes`, a
+bounded (seeds, betas) block at a time, and forms no exponent itself.  At
+zero bias :mod:`.transfer` alone forms the exponents, and both sweeps take
+its one overflow verdict: a point overflows only when -beta J_min or a gap
+exponent -beta (J(a) - J_min) is not finite.  Lanes never mix in an
+operation and each row is summed as a single point is, so each seed's
+curve is bitwise the one :func:`sweep_curve` gives on its couplings, swept
+alone or with others, failures included.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import ConvergenceError, _biased_pair, _unbiased_root, investment_lanes
+from .transfer import (
+    _OVERFLOW, ConvergenceError, _biased_pair, _secular_root, _secular_start, investment_lanes
+)
 
 __all__ = [
     "StencilConfig",
@@ -136,11 +141,11 @@ def _stencil_investment(setup: tuple, beta: float, cfg: StencilConfig) -> float:
 def _curve_setup(params: ModelParams) -> tuple:
     """The beta-independent part of l(beta) for one model, formed once per curve.
 
-    The couplings J and levels as arrays, the bias, J_min, J - J_min and
-    the end levels d_0 and d_{q-1}.
+    The couplings J and levels as arrays, the bias, J_min as a 1-element
+    array, J - J_min and the end levels d_0 and d_{q-1}.
     """
     j, lev = np.array(params.couplings.values), params.levels
-    j_min = float(j.min())
+    j_min = j.min(keepdims=True)
     with np.errstate(over="ignore"):
         j_span = j - j_min
     return (j, np.array(lev), params.field, j_min, j_span, lev[0], lev[-1])
@@ -149,7 +154,10 @@ def _curve_setup(params: ModelParams) -> tuple:
 def _investment(setup: tuple, beta: float) -> float:
     """l at one beta >= 0 from a curve's setup: one secular solve, then sum d v^2 / sum v^2.
 
-    At beta = 0 it is the plain mean of the levels.
+    At beta = 0 it is the plain mean of the levels.  At zero bias the
+    solve is :func:`.transfer._secular_root` from the gaps, start and
+    overflow verdict of :func:`.transfer._secular_start`, as every lane of
+    an ensemble is solved.
     """
     j, lev, field, j_min, j_span, low, high = setup
     if beta == 0.0:
@@ -157,7 +165,10 @@ def _investment(setup: tuple, beta: float) -> float:
     if field != 0.0:
         v = _biased_pair(j, lev, beta, field)[1]
     else:
-        v = _unbiased_root(beta, j_min, j_span)
+        delta, mu, finite = _secular_start(j_span, j_min, -beta)
+        if not finite[0]:
+            raise ValueError(_OVERFLOW)
+        v = 1.0 / (_secular_root(delta, float(mu[0])) + delta)
     # v is unnormalised; dividing by sum v_a^2 also makes ties exact: equal
     # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
     weights = v * v
@@ -172,7 +183,10 @@ def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None)
     For beta > 0 the value is sum_a d_a v_a^2 over the dominant eigenvector,
     clamped to [d_0, d_{q-1}] against rounding; an explicit ``cfg`` takes
     the paper's finite-difference route instead, unclamped.  A bias so
-    strong that a secular weight overflows raises ValueError.
+    strong that a secular weight overflows raises ValueError, and so does
+    zero bias where -beta J_min or a gap exponent -beta (J(a) - J_min) is
+    not finite; a diagonal exponent -beta J(a) below the double range is
+    an entry of 0 and does not raise.
     """
     setup = _curve_setup(params)
     if cfg is not None and params.beta != 0.0:
@@ -219,31 +233,28 @@ def sweep_curve(params_base: ModelParams, betas) -> InvestmentCurve:
 def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
     """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q).
 
-    A block is a (seeds, betas, q) rectangle of exponent gaps, so each lane
-    is one contiguous row of q levels, in (seed, beta) order.
+    A block is a (seeds, betas) rectangle of lanes, each one contiguous
+    row of q levels, in (seed, beta) order.
     """
     q = len(levels)
     # The grid is increasing and non-negative, so only its first point can be 0.
     skip = 1 if grid[0] == 0.0 else 0
     out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
-    neg_beta = -np.asarray(grid[skip:])
-    j_min = couplings.min(axis=1, keepdims=True)
+    neg_beta = -np.asarray(grid[skip:])[:, None]
+    j_min = couplings.min(axis=1)[:, None, None]
+    j_span = couplings[:, None, :] - j_min
     # A block holds at most _BLOCK exponents.  It spans several seeds only
     # when it holds their whole grids, so blocks run seed by seed, beta by
     # beta.
     width = max(1, min(len(neg_beta), _BLOCK // q))
     height = max(1, _BLOCK // (q * width))
     for s0 in range(0, len(seeds), height):
-        j = (couplings[s0 : s0 + height] - j_min[s0 : s0 + height])[:, None, :]
         for b0 in range(0, len(neg_beta), width):
             b = neg_beta[b0 : b0 + width]
-            with np.errstate(over="ignore"):
-                dx = np.multiply(b[:, None], j).reshape(-1, q)
-                x_max = np.multiply(b, j_min[s0 : s0 + height]).reshape(-1)
             try:
-                l = investment_lanes(dx, x_max, levels)
+                l = investment_lanes(j_span[s0 : s0 + height], j_min[s0 : s0 + height], b, levels)
             except (ValueError, ConvergenceError) as exc:
                 seed, beta = divmod(exc.lane, len(b))
                 raise SweepError(grid[skip + b0 + beta], exc, seed=seeds[s0 + seed]) from exc
-            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = l.reshape(-1, len(b))
+            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = l
     return out

@@ -24,8 +24,11 @@ bookkeeping: the per-seed curves, their fsum mean and the minimum flags.
 The numbers come from :func:`.derivatives._sweep_lanes`, the batched
 beta sweep, which solves every (seed, beta) point as one contiguous row of
 a block, summed as a single point is, so each member's curve is bit for
-bit :func:`.derivatives.sweep_curve` on its couplings; this module touches
-no solver itself.
+bit :func:`.derivatives.sweep_curve` on its couplings.  It fails where that
+curve fails, under the one overflow rule of :mod:`.transfer`: a point
+raises only where -beta J_min or a gap exponent -beta (J(a) - J_min) is not
+finite, and a diagonal exponent -beta J(a) below the double range is an
+entry of 0.  This module touches no solver itself.
 """
 
 from __future__ import annotations
@@ -131,7 +134,8 @@ def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     with other seeds.  The mean uses exact (fsum) accumulation, so it is
     invariant under permutations of the seed list.
     The first failing lane, seed by seed and beta by beta, raises
-    :class:`.derivatives.SweepError` naming its beta and seed.
+    :class:`.derivatives.SweepError` naming its beta and seed, the beta at
+    which that seed's single curve fails.
     """
     seeds, couplings, grid, values, mean = _ensemble_values(q, seeds, betas)
     params = _member_params(q, couplings)

@@ -20,19 +20,23 @@ weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
 itself.  That one solve gives log lambda_1 and v at any bias, l(beta, D)
 at D != 0 and the bias stencil of :mod:`.derivatives`, and log Z_N on long
 rings.  At zero bias every weight is 1, and l takes the unit-weight solve
-of :func:`_unbiased_root`.  Both solves hand back v as its raw secular
-weights, unnormalised, since l divides by sum_a v_a^2 anyway; only
-:func:`dominant_eigenvalue`, which returns v, scales it to unit length.
-Every sum in these O(q) solves is a numpy reduction, not a BLAS call, so
-the BLAS kernel decides none of their bits; BLAS serves only the O(q^3)
-matrix products of log Z's powering route.  :func:`investment_lanes` runs
-the unit-weight solve on many coupling vectors at once, one contiguous row
-of q levels per lane, each row summed as a single point is, so every lane
-is bit for bit the single solve.  log Z_N decides its route once from the
-same O(q) decomposition: N = 1 from the diagonal exponents; N log lambda_1
-when interlacing and a lower bound on lambda_1 prove the rest of the
-spectrum below rounding; otherwise Tr M^N of the positive rescaled matrix
-by binary powering, where nothing cancels.
+of :func:`_secular_root`, from the gaps and start of :func:`_secular_start`,
+the one place the zero-bias exponents are formed and judged: a point
+overflows only where -beta J_min or a gap exponent -beta (J(a) - J_min) is
+not finite, and a diagonal entry below the double range is 0.  Both solves
+hand back v as its raw secular weights, unnormalised, since l divides by
+sum_a v_a^2 anyway; only :func:`dominant_eigenvalue`, which returns v,
+scales it to unit length.  Every sum in these O(q) solves is a numpy
+reduction, not a BLAS call, so the BLAS kernel decides none of their bits;
+BLAS serves only the O(q^3) matrix products of log Z's powering route.
+:func:`investment_lanes` runs the unit-weight solve on many coupling
+vectors and betas at once, one contiguous row of q levels per lane, each
+row summed as a single point is, so every lane is bit for bit the single
+solve.  log Z_N decides its route once from the same O(q) decomposition:
+N = 1 from the diagonal exponents; N log lambda_1 when interlacing and a
+lower bound on lambda_1 prove the rest of the spectrum below rounding;
+otherwise Tr M^N of the positive rescaled matrix by binary powering, where
+nothing cancels.
 """
 
 from __future__ import annotations
@@ -91,22 +95,30 @@ def _largest(x: np.ndarray) -> float:
     return float(x[x.argmax()])
 
 
-def _secular_start(dx: np.ndarray, x_max) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps Delta and Newton starts along the last (level) axis of exponents x_max + dx, dx <= 0.
+def _secular_start(j_span, j_min, neg_beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaps Delta, Newton starts and overflow verdicts at zero bias, one per lane.
 
-    Delta_a = exp(x_max + log(-expm1(dx_a))), formed in place in dx, is 0 on
-    tied levels and inf where it overflows; the start is the number of zero
-    gaps.  x_max broadcasts against dx: a float for one vector, an (n, 1)
-    column for n rows of levels.  dx formed as -beta (J(a) - J_min) keeps
-    the split of a near-tie.  Gaps of a lane with a non-finite exponent
-    mean nothing; callers reject it.
+    The zero-bias exponents are x_max + dx, with scale x_max = -beta J_min
+    and gap exponents dx = -beta (J - J_min) <= 0, formed here and nowhere
+    else; dx keeps the split of a near-tie.  Delta_a = exp(x_max +
+    log(-expm1(dx_a))), formed in place in dx, is 0 on tied levels and inf
+    where it overflows; the start is the number of zero gaps.  A lane is
+    finite, the one overflow verdict, when x_max and every dx_a are: a
+    diagonal exponent x_max + dx_a below the double range is an entry of 0
+    and does not count.  The arguments broadcast, levels on the last axis:
+    a point passes J - J_min, a 1-element J_min and a float -beta; a block
+    of lanes a (seeds, 1, q) span, a (seeds, 1, 1) J_min and a (betas, 1)
+    column of -beta.  Starts and verdicts keep a last axis of length 1.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        delta = np.expm1(dx, out=dx)
+        x_max = neg_beta * j_min
+        delta = neg_beta * j_span
+        finite = np.isfinite(delta).all(axis=-1, keepdims=True) & np.isfinite(x_max)
+        np.expm1(delta, out=delta)
         np.negative(delta, out=delta)
         np.log(delta, out=delta)
         np.exp(np.add(delta, x_max, out=delta), out=delta)
-    return delta, (delta == 0.0).sum(axis=-1, dtype=float)
+    return delta, (delta == 0.0).sum(axis=-1, keepdims=True, dtype=float), finite
 
 
 def _unsettled(residual: float) -> ConvergenceError:
@@ -156,14 +168,19 @@ def _rank_one(
 def _secular_root(delta: np.ndarray, mu: float) -> float:
     """Root mu of the secular equation sum_a 1 / (mu + delta_a) = 1 by Newton from below.
 
-    Newton runs on the reciprocal h(mu) = 1 / S1 with S1 = sum_a w_a and w_a
-    = 1 / (mu + delta_a), whose root h = 1 is the same (Moré & Sorensen,
-    SIAM J. Sci. Stat. Comput. 4, 1983): the step is (S1 - 1) S1 / S2 with
-    S2 = sum w^2.  h is a scaled harmonic mean of the denominators, so it
-    is concave and increasing, and Newton from a start where h <= 1
-    increases monotonically to the root without overshooting; being nearly
-    linear it needs only a few steps.  Raises :class:`ConvergenceError` if
-    it has not settled within a fixed step cap.
+    This is the zero-bias solve, with every s_a = 1, written for mu = nu +
+    1: mu is the root in [1, q], the start from :func:`_secular_start` is
+    the number of levels tied at the coupling minimum, and the dominant
+    eigenvector is v_a = 1 / (mu + delta_a), unnormalised; a gap that
+    overflows to inf drops out.  Newton runs on the reciprocal h(mu) = 1 /
+    S1 with S1 = sum_a w_a and w_a = 1 / (mu + delta_a), whose root h = 1
+    is the same (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the
+    step is (S1 - 1) S1 / S2 with S2 = sum w^2.  h is a scaled harmonic
+    mean of the denominators, so it is concave and increasing, and Newton
+    from a start where h <= 1 increases monotonically to the root without
+    overshooting; being nearly linear it needs only a few steps.  Raises
+    :class:`ConvergenceError` if it has not settled within a fixed step
+    cap.
     """
     for _ in range(_NEWTON_CAP):
         w = 1.0 / (mu + delta)
@@ -253,25 +270,6 @@ def _biased_pair(
     return t + log_top, np.sqrt(c) / (nu + delta + c)
 
 
-def _unbiased_root(beta: float, j_min: float, j_span: np.ndarray) -> np.ndarray:
-    """The dominant eigenvector at zero bias, unnormalised, from j_span = J - J_min.
-
-    At zero bias s_a = 1, and the solve is written for mu = nu + 1 instead:
-    mu is the root in [1, q] of sum_a 1 / (mu + Delta_a) = 1, Newton starts
-    at the number of levels tied at the coupling minimum, and v_a is
-    proportional to 1 / (mu + Delta_a).  Delta is exactly 0 on tied levels
-    (:func:`_secular_start`), and an entry that overflows to inf drops out.
-    j_span is only read, so a curve forms it once for all its betas; a span
-    that overflows is inf, and raises here.
-    """
-    x_max = -beta * j_min
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = -beta * j_span
-        _require_finite(dx + x_max)
-    delta, mu = _secular_start(dx, x_max)
-    return 1.0 / (_secular_root(delta, float(mu)) + delta)
-
-
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of the transfer matrix at any bias, from its secular equation.
 
@@ -288,36 +286,35 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     return log_lambda, v / math.sqrt((v * v).sum())
 
 
-def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
-    """Per-capita investment l for every lane (row) of exponents x_max + dx, dx (n, q) <= 0.
+def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
+    """Per-capita investment l at zero bias for every lane of :func:`_secular_start`'s inputs.
 
-    dx_a = -beta (J(a) - J_min), which is overwritten, and x_max = -beta
-    J_min keep near-ties exact.  Each lane is solved as
-    :func:`_unbiased_root` solves one coupling vector: the same gaps,
-    start, Newton steps on the concave reciprocal 1 / sum_a w_a, and cap.
-    Every step runs on the whole block; a lane whose step has settled gets
-    steps of exactly 0 from then on, so it takes exactly the steps it would
-    take alone.  Then l = sum_a d_a w_a^2 / sum_a w_a^2 with w_a = 1 / (mu +
-    Delta_a), clamped to [d_0, d_{q-1}].  The terms of every sum over
-    levels sit in one contiguous row per lane of a C-ordered work buffer,
-    whatever layout dx has, and numpy sums each row with the pairwise loop
-    it runs on a single vector: each lane's bits are those of the single
-    solve, alone, in any block and in any memory layout.
+    The result has the lanes' shape, (seeds, betas) for a block.  Each
+    lane is solved as :func:`_secular_root` solves one point, with the
+    same gaps and start: Newton steps on the concave reciprocal 1 / sum_a
+    w_a, under the same cap.  Every step runs on the whole block; a lane
+    whose step has settled gets steps of exactly 0 from then on, so it
+    takes exactly the steps it would take alone.  Then l = sum_a d_a w_a^2
+    / sum_a w_a^2 with w_a = 1 / (mu + Delta_a), clamped to [d_0,
+    d_{q-1}].  The terms of every sum over levels sit in one contiguous row
+    per lane of a C-ordered work buffer, whatever layout the inputs have,
+    and numpy sums each row with the pairwise loop it runs on a single
+    vector: each lane's bits are those of the single solve, alone, in any
+    block and in any memory layout.
 
-    A lane with a non-finite exponent raises ValueError, and a lane still
-    moving after the step cap raises :class:`ConvergenceError`; the
-    exception's ``lane`` attribute is the lowest such lane.
+    A lane that is not finite raises ValueError, and a lane still moving
+    after the step cap raises :class:`ConvergenceError`; the exception's
+    ``lane`` attribute is the lowest such lane, as a flat index in C order.
     """
     lev = np.asarray(levels, dtype=float)
-    finite = np.isfinite(dx).all(axis=-1) & np.isfinite(x_max)
-    delta, mu = _secular_start(dx, x_max[:, None])
+    delta, mu, finite = _secular_start(j_span, j_min, neg_beta)
     pair = np.empty((2,) + delta.shape)
     w, ww = pair
     moving = finite.copy()
     for _ in range(_NEWTON_CAP):
-        np.divide(1.0, np.add(delta, mu[:, None], out=w), out=w)
+        np.divide(1.0, np.add(delta, mu, out=w), out=w)
         np.multiply(w, w, out=ww)
-        s1, s2 = pair.sum(axis=-1)
+        s1, s2 = pair.sum(axis=-1, keepdims=True)
         step = (s1 - 1.0) * s1 / s2
         np.copyto(step, 0.0, where=~moving)
         mu += step
@@ -327,10 +324,10 @@ def investment_lanes(dx: np.ndarray, x_max: np.ndarray, levels) -> np.ndarray:
     failed = np.flatnonzero(moving | ~finite)
     if failed.size:
         lane = int(failed[0])
-        exc = _unsettled(float(step[lane])) if finite[lane] else ValueError(_OVERFLOW)
+        exc = _unsettled(float(step.flat[lane])) if finite.flat[lane] else ValueError(_OVERFLOW)
         exc.lane = lane
         raise exc
-    np.divide(1.0, np.add(delta, mu[:, None], out=w), out=w)
+    np.divide(1.0, np.add(delta, mu, out=w), out=w)
     np.multiply(w, w, out=ww)
     np.multiply(ww, lev, out=w)
     dv2, v2 = pair.sum(axis=-1)

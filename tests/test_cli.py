@@ -509,6 +509,14 @@ class TestExitCodes:
         assert code == 3
         assert "beta=2.0" in capsys.readouterr().err
 
+    def test_diagonal_entries_below_the_double_range_do_not_fail(self, capsys):
+        # -beta J_min and every gap exponent are finite at beta = 1e308;
+        # only -beta J(a) of the two upper levels is below the double range.
+        code = run_cli("--q", "3", "--couplings", "1,2,2",
+                       "--beta-max", "1e308", "--beta-count", "2")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["0.0,1.0", "1e+308,1.0"]
+
     def test_ensemble_failure_names_seed(self, capsys):
         code = run_cli("--q", "15", "--profile", "random", "--seeds", "7,42",
                        "--beta-max", "1.7e308", "--beta-count", "2")

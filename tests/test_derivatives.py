@@ -227,11 +227,13 @@ class TestPerCapitaInvestment:
     def test_rounding_is_clamped_to_the_level_range(self, monkeypatch):
         # Weight on the top level alone can round the ratio past d_{q-1}:
         # 9 w^2 / w^2 evaluates to 9.000000000000002 at w = 0.67925.
-        vector = np.zeros(10)
-        vector[-1] = 0.67925
-        monkeypatch.setattr(
-            derivatives, "_unbiased_root", lambda beta, j_min, j_span: vector
-        )
+        # The zero-bias solve gives v = 1 / (root + gaps): a root of 0 and
+        # gaps of inf but on the top level make v that vector.
+        gaps = np.full(10, math.inf)
+        gaps[-1] = 1.0 / 0.67925
+        start = (gaps, np.zeros(1), np.ones(1, dtype=bool))
+        monkeypatch.setattr(derivatives, "_secular_start", lambda j_span, j_min, neg_beta: start)
+        monkeypatch.setattr(derivatives, "_secular_root", lambda delta, mu: 0.0)
         p = params_for(10, 1.0, range(10))
         assert per_capita_investment(p) == 9.0
         assert sweep_curve(p, [1.0]).points == ((1.0, 9.0),)
@@ -332,7 +334,7 @@ class TestNearTiedMinima:
         assert abs(per_capita_investment(p) - want) <= 1e-14 * (q - 1)
         j = np.array(couplings)
         lane = transfer.investment_lanes(
-            -beta * (j - j.min())[None, :], np.array([-beta * j.min()]), p.levels
+            (j - j.min())[None, :], j.min(keepdims=True), -beta, p.levels
         )
         assert abs(float(lane[0]) - want) <= 1e-14 * (q - 1)
 

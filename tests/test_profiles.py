@@ -240,6 +240,53 @@ class TestOneZeroBiasL:
                 beta, l = curve.points[k % len(grid)]
                 assert per_capita_investment(ModelParams(q, beta, couplings)) == l
 
+    @pytest.mark.parametrize("grid", [[0.0, 1e308], [1e308, 1.7e308]])
+    def test_a_diagonal_entry_below_the_double_range_is_zero(self, grid):
+        # Seed 1 draws (1, 2, 2): -beta J_min and every gap exponent are
+        # finite, while -beta J(a) of levels 1 and 2 is below the double
+        # range.  Those entries are 0, every gap is 0, and l is the level
+        # mean 1, exactly, as a single curve and as an ensemble member.
+        couplings = make_profile(ProfileSpec("random", 3, 1))
+        assert couplings.values == (1.0, 2.0, 2.0)
+        alone = sweep_curve(ModelParams(3, 0.0, couplings), grid)
+        assert alone.points == tuple((b, 1.0) for b in grid)
+        assert ensemble_sweep(3, [1], grid).curves[0].points == alone.points
+        for beta in grid:
+            assert per_capita_investment(ModelParams(3, beta, couplings)) == 1.0
+
+    @given(
+        q=st.integers(2, 6),
+        seed=st.integers(0, 2**64 - 1),
+        exponents=st.lists(
+            st.floats(306.0, math.log10(1.7e308)), min_size=1, max_size=3, unique=True
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_same_overflow_verdict_near_the_double_range(self, q, seed, exponents):
+        # Either both sweeps give the same bits, or both fail at the same beta.
+        grid = sorted({10.0**e for e in exponents})
+        couplings = make_profile(ProfileSpec("random", q, seed))
+
+        def outcome(sweep):
+            try:
+                return sweep().points
+            except SweepError as exc:
+                return exc.beta, type(exc.__cause__)
+
+        alone = outcome(lambda: sweep_curve(ModelParams(q, 0.0, couplings), grid))
+        member = outcome(lambda: ensemble_sweep(q, [seed], grid).curves[0])
+        assert member == alone
+        # Point by point: the sweep's bits, or its error at its failing beta.
+        failed_at = alone[0] if isinstance(alone[0], float) else math.inf
+        for beta in grid:
+            params = ModelParams(q, beta, couplings)
+            if beta == failed_at:
+                with pytest.raises(alone[1], match="overflow"):
+                    per_capita_investment(params)
+                break
+            value = per_capita_investment(params)
+            assert failed_at < math.inf or (beta, value) in alone
+
 
 class TestBatchedEnsemble:
     """ensemble_sweep solves all (seed, beta) lanes together; each curve must not notice."""
@@ -270,9 +317,9 @@ class TestBatchedEnsemble:
         q, seeds, grid = 60, (1, 2), np.linspace(0.0, 10.0, 2000).tolist()
         sizes = []
 
-        def solve(dx, x_max, levels):
-            sizes.append(dx.size)
-            return transfer.investment_lanes(dx, x_max, levels)
+        def solve(j_span, j_min, neg_beta, levels):
+            sizes.append(np.broadcast(j_span, neg_beta).size)  # exponents in the block
+            return transfer.investment_lanes(j_span, j_min, neg_beta, levels)
 
         monkeypatch.setattr(derivatives, "investment_lanes", solve)
         split = ensemble_sweep(q, seeds, grid)

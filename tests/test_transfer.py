@@ -238,49 +238,50 @@ class TestDominantEigenvalue:
 
 class TestInvestmentLanes:
     def test_tied_minima_stay_exact(self):
-        j = np.array([[-1.0], [-1.0], [0.0]])
-        x = -j * np.array([40.0, 1000.0])
-        top = x.max(axis=0)
-        assert transfer.investment_lanes((x - top).T, top, (0.0, 1.0, 2.0)).tolist() == [0.5, 0.5]
+        # One coupling vector at two betas: the lanes are (betas,).
+        j = np.array([-1.0, -1.0, 0.0])
+        neg_beta = -np.array([[40.0], [1000.0]])
+        lanes = transfer.investment_lanes(j - j.min(), j.min(keepdims=True), neg_beta, (0, 1, 2))
+        assert lanes.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("q", [8, 9, 15, 60])
     def test_bits_do_not_depend_on_block_or_layout(self, q):
-        # Random-profile exponents -beta J, as ensemble_sweep lays them out.
-        # investment_lanes overwrites the gaps, so each call gets fresh ones.
+        # Random-profile couplings, one vector and one beta per lane; the
+        # inputs are only read, so every call shares them.
         rng = np.random.default_rng(q)
-        x = -rng.integers(0, q, (q, 1000)) * rng.uniform(0.01, 10.0, 1000)
-        top = x.max(axis=0)
-        dx = np.ascontiguousarray((x - top).T)
+        j = rng.integers(0, q, (1000, q)).astype(float)
+        neg_beta = -rng.uniform(0.01, 10.0, (1000, 1))
+        j_min = j.min(axis=1, keepdims=True)
+        span = j - j_min
         levels = tuple(float(a) for a in range(q))
-        want = transfer.investment_lanes(dx.copy(), top, levels).tobytes()
+        want = transfer.investment_lanes(span, j_min, neg_beta, levels).tobytes()
         for n in (1, 2, 3):
             spans = range(0, 1000, n)
-            fresh = dx.copy()
-            views = [fresh[i : i + n] for i in spans]
-            for blocks in (views, [dx[i : i + n].copy() for i in spans]):
+            views = [span[i : i + n] for i in spans]
+            for blocks in (views, [span[i : i + n].copy() for i in spans]):
                 lanes = [
-                    transfer.investment_lanes(b, top[i : i + n], levels)
+                    transfer.investment_lanes(b, j_min[i : i + n], neg_beta[i : i + n], levels)
                     for b, i in zip(blocks, spans)
                 ]
                 assert np.concatenate(lanes).tobytes() == want
         for layout in (
-            np.asfortranarray(dx),
-            np.ascontiguousarray(dx.T).T,  # the level-major (q, n) array, viewed lane-major
-            np.stack([dx, dx], axis=-1)[..., 0],  # strided in both axes
+            np.asfortranarray(span),
+            np.ascontiguousarray(span.T).T,  # the level-major (q, n) array, viewed lane-major
+            np.stack([span, span], axis=-1)[..., 0],  # strided in both axes
         ):
-            assert transfer.investment_lanes(layout, top, levels).tobytes() == want
+            assert transfer.investment_lanes(layout, j_min, neg_beta, levels).tobytes() == want
 
     def test_failure_names_the_lowest_failing_lane(self, monkeypatch):
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 1)
-        # (gaps, lane maximum) per lane
+        # (J - J_min, J_min) per lane, all at beta = 1
         settled = ([0.0, 0.0], 0.0)  # all levels tied: the first step is exactly 0
-        unsettled = ([-2.0, 0.0], 1.0)  # the q = 2 root near 1.37 takes several steps
-        overflow = ([0.0, 0.0], math.inf)
+        unsettled = ([2.0, 0.0], -1.0)  # the q = 2 root near 1.37 takes several steps
+        overflow = ([0.0, 0.0], -math.inf)
         levels = (0.0, 1.0)
 
         def solve(*lanes):
-            dx, x_max = zip(*lanes)
-            return transfer.investment_lanes(np.array(dx), np.array(x_max), levels)
+            span, j_min = zip(*lanes)
+            return transfer.investment_lanes(np.array(span), np.array(j_min)[:, None], -1.0, levels)
 
         with pytest.raises(ConvergenceError) as info:
             solve(settled, unsettled, overflow)
@@ -302,15 +303,15 @@ class TestInvestmentLanes:
                 calls.append(len(step))
                 return super().__iadd__(step)
 
-        def poisoned(dx, x_max):
-            delta, mu = secular_start(dx, x_max)
+        def poisoned(*args):
+            delta, mu, finite = secular_start(*args)
             mu[1] = math.nan
-            return delta, mu.view(Counted)
+            return delta, mu.view(Counted), finite
 
         monkeypatch.setattr(transfer, "_secular_start", poisoned)
-        dx = np.array([[-2.0, 0.0], [-2.0, 0.0], [-2.0, 0.0]])
+        span = np.array([[2.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ConvergenceError) as info:
-            transfer.investment_lanes(dx, np.ones(3), (0.0, 1.0))
+            transfer.investment_lanes(span, -np.ones((3, 1)), -1.0, (0.0, 1.0))
         assert info.value.lane == 1
         assert math.isnan(info.value.residual)
         assert len(calls) >= transfer._NEWTON_CAP
