@@ -14,13 +14,15 @@ whose diagonal entry is largest in exact arithmetic, so two uniform states
 of equal energy J(a) + D d_a stay tied in both.
 
 At any bias M = diag(e) + s s^T with s_a = exp(-beta D d_a / 2) and e_a =
-s_a^2 (exp(-beta J(a)) - 1), a rank-one update of a diagonal matrix, so its
-dominant eigenpair is the largest root of a scalar secular equation with
-weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
+s_a^2 (exp(-beta J(a)) - 1), a rank-one update of a diagonal matrix, so
+its dominant eigenpair is the largest root of a scalar secular equation
+with weights s_a^2 (Golub, SIAM Rev. 15, 1973) and never needs the matrix
 itself.  That one solve gives log lambda_1 and v at any bias, l(beta, D)
-at D != 0 and the bias stencil of :mod:`.derivatives`, and log Z_N on long
-rings.  At zero bias every weight is 1, and l takes the unit-weight solve
-of :func:`_secular_root`, from the gaps and start of :func:`_secular_start`,
+at D != 0 and the bias stencil of :mod:`.derivatives`, starting Newton
+from a lower bound out of 2 x 2 principal submatrices, and log Z_N on long
+rings, starting from the Rayleigh floor that chose that route.  At zero
+bias every weight is 1, and l takes the unit-weight solve of
+:func:`_secular_root`, from the gaps and start of :func:`_secular_start`,
 the one place the zero-bias exponents are formed and judged: a point
 overflows only where -beta J_min or a gap exponent -beta (J(a) - J_min) is
 not finite, and a diagonal entry below the double range is 0.  Both solves
@@ -29,14 +31,17 @@ sum_a v_a^2 anyway; only :func:`dominant_eigenvalue`, which returns v,
 scales it to unit length.  Every sum in these O(q) solves is a numpy
 reduction, not a BLAS call, so the BLAS kernel decides none of their bits;
 BLAS serves only the O(q^3) matrix products of log Z's powering route.
+On log Z's path the reductions are called as ufunc methods (np.add.reduce
+for .sum()), the same loops without the Python layer of the ndarray
+methods, which shows on calls that run with cold caches.
 :func:`investment_lanes` runs the unit-weight solve on many coupling
 vectors and betas at once, one contiguous row of q levels per lane, each
 row summed as a single point is, so every lane is bit for bit the single
 solve.  log Z_N decides its route once from the same O(q) decomposition:
 N = 1 from the diagonal exponents; N log lambda_1 when interlacing and a
-lower bound on lambda_1 prove the rest of the spectrum below rounding;
-otherwise Tr M^N of the positive rescaled matrix by binary powering, where
-nothing cancels.
+lower bound on lambda_1 prove the rest of the spectrum below rounding,
+solved from that bound; otherwise Tr M^N of the positive rescaled matrix
+by binary powering, where nothing cancels.
 """
 
 from __future__ import annotations
@@ -55,8 +60,12 @@ __all__ = [
 
 # Newton steps allowed for the secular equation.  At zero bias at most 8
 # were needed over q up to 300, beta from 1e-3 to 1e3 and tied or near-tied
-# coupling minima, and at most 4 on random-profile ensembles up to q = 200;
-# at nonzero bias at most 9 over q up to 200, beta to 1e3 and |D| to 10.
+# coupling minima, and at most 4 on random-profile ensembles up to q = 200.
+# The weighted solve from the 2 x 2 start (dominant_eigenvalue, the bias
+# stencil) took at most 9 over q up to 200, beta to 1e3 and |D| to 10, and
+# 3-7 on 5,060 draws shaped like the finite_ring benchmark; log Z's
+# shortcut, from its Rayleigh floor, took 2-6 on the 3,383 of those draws
+# that take it, 2-5 on the benchmark's own seeds 1-10.
 _NEWTON_CAP = 100
 _NEWTON_RTOL = 1e-14
 
@@ -82,7 +91,7 @@ _OVERFLOW = "transfer-matrix exponents overflow; reduce beta*J or beta*D"
 
 
 def _require_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError(_OVERFLOW)
 
 
@@ -127,21 +136,27 @@ def _unsettled(residual: float) -> ConvergenceError:
     )
 
 
+def _arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The couplings and levels of a model as the float arrays :func:`_rank_one` reads."""
+    return np.array(params.couplings.values, dtype=float), np.array(params.levels, dtype=float)
+
+
 def _rank_one(
     j: np.ndarray, lev: np.ndarray, beta: float, field: float
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """t, z_max, dz, c = s^2, z and u with M = exp(t) (diag(exp(z_max + dz) - c) + s s^T).
+) -> tuple[float, float, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    """t, z_max, g, m, c = s^2, z and u with M = exp(t) (diag(exp(z_max + dz) - c) + s s^T).
 
     With y_a = -beta D d_a and x_a = -beta J(a), M[a][b] = exp((y_a + y_b) / 2
     + x_a [a == b]), so the log diagonal is z = x + y - t, u = y - t and c =
     exp(u), all in O(q); exp(-t) M is exp(z_a) on the diagonal and exp((u_a
     + u_b) / 2) off it.  m is the level of least g_a = (J(a) - J(k)) + D (d_a
-    - d_k), k at the top of x + y, and dz_a = -beta (g_a - g_m) <= 0, so an
-    ulp split keeps its sign.  The one anchor is m: t is the larger of its
-    diagonal exponent and the pair exponent of the two most weighted levels
-    (y is monotone in the level), so z_max = z_m is exactly 0 whenever a
-    diagonal entry is on top, and the gaps and the scale agree on which
-    level that is where uniform states tie.
+    - d_k), k at the top of x + y, and the gap exponents are dz_a = -beta
+    (g_a - g_m) <= 0, so an ulp split keeps its sign; :func:`_gaps` forms
+    them, on the routes that read them.  The one anchor is m: t is the
+    larger of its diagonal exponent and the pair exponent of the two most
+    weighted levels (y is monotone in the level), so z_max = z_m is exactly
+    0 whenever a diagonal entry is on top, and the gaps and the scale agree
+    on which level that is where uniform states tie.
     Weights below ``_WEIGHT_FLOOR`` are raised to it; one can exceed 1, and
     overflows only when beta |D| times the end levels' step passes 1400.
     j and lev are the couplings and levels as arrays, which are only read.
@@ -160,9 +175,19 @@ def _rank_one(
     c = np.exp(u)
     np.maximum(c, _WEIGHT_FLOOR, out=c)
     z -= t
-    dz = -beta * (g - g[m])
     _require_finite(z)
-    return t, float(z[m]), dz, c, z, u
+    return t, float(z[m]), g, m, c, z, u
+
+
+def _gaps(g: np.ndarray, m: int, beta: float, top: float) -> np.ndarray:
+    """The gaps Delta_a = exp(z_max) (1 - exp(dz_a)) of :func:`_rank_one`'s g and m, in place in g.
+
+    top = exp(z_max) <= 1, so no gap overflows, and a gap is 0 exactly where
+    g_a = g_m.
+    """
+    g -= g[m]
+    g *= -beta
+    return np.multiply(np.expm1(g, out=g), -top, out=g)
 
 
 def _secular_root(delta: np.ndarray, mu: float) -> float:
@@ -194,7 +219,7 @@ def _secular_root(delta: np.ndarray, mu: float) -> float:
 
 
 def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
-    """A lower bound on nu, so a Newton start, from 2 x 2 principal submatrices.
+    """A lower bound on nu, :func:`_biased_pair`'s Newton start, from 2 x 2 principal submatrices.
 
     lambda_1 is at least the largest scaled entry, 1, and at least the top
     eigenvalue of the submatrix on a level m at the top of the diagonal and
@@ -204,6 +229,8 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     c_m c_b would underflow.  Without that bound a tiny c_m puts a near-pole
     just below nu = 0, and Newton would climb from it by doubling its step.
     m is the most weighted level with a zero gap, whose pairs bound nu best.
+    As :func:`_rank_one` takes t and the gaps from one level, top is exactly
+    1 where a diagonal entry is on top, so the bound 1 - top is 0 there.
     """
     m = int(np.where(delta == 0.0, c, 0.0).argmax())
     s = math.sqrt(c[m]) * np.sqrt(c)
@@ -213,39 +240,42 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
     return max(1.0 - top, _largest(pair))
 
 
-def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """log(lambda_1) - t, the root nu and the gaps Delta, for the parts of :func:`_rank_one`.
+def _weighted_root(
+    nu: float, top: float, delta: np.ndarray, c: np.ndarray
+) -> tuple[float, float, int]:
+    """log(lambda_1) - t, the root nu and the Newton steps taken, from a start nu <= the root.
 
-    lambda_1 = exp(t) (exp(z_max) + nu), with nu >= 0 the root of sum_a c_a
-    / (nu + Delta_a + c_a) = 1 and Delta_a = exp(z_max) (1 - exp(dz_a)),
-    formed in place in dz; z_max <= 0, so no gap overflows.  Every
-    denominator is a sum of non-negative terms, so nothing cancels however
-    large a weight is against lambda_1.  Newton runs from the lower bound
-    of :func:`_lower_bound`, where the sum is at least 1, on the reciprocal
-    as :func:`_secular_root` does: the step is (S1 - 1) S1 / S2 with S1 =
-    sum c w and S2 = sum c w^2, w_a = 1 / (nu + Delta_a + c_a).  A term c_m
-    w_m can lie so close to 1 that rounding hides how it moves with nu, as
-    when c_m is far above nu + Delta_m; S1 - 1 therefore takes the largest
-    term as c_m w_m - 1 = -(nu + Delta_m) w_m, which cancels nothing.
-    lambda_1 is at least every diagonal entry, so a root that rounding puts
-    below 0 is 0.  As :func:`_rank_one` takes t and the gaps from one level,
-    z_max is exactly 0 where a diagonal entry is on top, so the start 1 -
-    exp(z_max) is 0 there.
+    lambda_1 = exp(t) (top + nu), top = exp(z_max), with nu >= 0 the root
+    of sum_a c_a / (nu + Delta_a + c_a) = 1 and the gaps Delta of
+    :func:`_gaps`.  Every denominator is a sum of non-negative terms, so
+    nothing cancels however large a weight is against lambda_1.  Newton
+    runs on the reciprocal as :func:`_secular_root` does: the step is (S1 -
+    1) S1 / S2 with S1 = sum c w and S2 = sum c w^2, w_a = 1 / (nu + Delta_a
+    + c_a), both summed in one reduction over the rows of a C-ordered (2, q)
+    buffer, each row as numpy sums a single vector.  A term c_m w_m can lie
+    so close to 1 that rounding hides how it moves with nu, as when c_m is
+    far above nu + Delta_m; S1 - 1 therefore takes the largest term as c_m
+    w_m - 1 = -(nu + Delta_m) w_m, which cancels nothing.  From a start
+    where the sum is at least 1 the steps climb to the root without
+    overshooting; a start that rounding puts a few ulps above it takes one
+    step down, which ends the loop.  :func:`_biased_pair` starts from
+    :func:`_lower_bound` and settled in 3-7 steps on draws shaped like the
+    ``finite_ring`` benchmark; the shortcut of :func:`log_partition_function`
+    starts from L - top, with L its Rayleigh floor, where every denominator
+    is L - e_a > 0, and settled in 2-6 (a mean of 2.6 at seeds 1-3, against
+    3.96 from the 2 x 2 start).  lambda_1 is at least every diagonal entry,
+    so a root that rounding puts below 0 is 0.
     """
-    _require_finite(c)
-    top = math.exp(z_max)
-    delta = np.expm1(dz, out=dz)
-    np.multiply(delta, -top, out=delta)
-    nu = _lower_bound(delta, c, top)
     gap = delta + c
-    w, cw, cww = np.empty((3, len(gap)))
-    for _ in range(_NEWTON_CAP):
+    w, cw, cww = work = np.empty((3, len(gap)))
+    pair = work[1:]
+    for steps in range(1, _NEWTON_CAP + 1):
         np.divide(1.0, np.add(gap, nu, out=w), out=w)
         np.multiply(c, w, out=cw)
-        s2 = float(np.multiply(cw, w, out=cww).sum())
+        np.multiply(cw, w, out=cww)
         m = int(cw.argmax())
         cw[m] = -(nu + delta[m]) * w[m]
-        excess = float(cw.sum())
+        excess, s2 = np.add.reduce(pair, axis=-1).tolist()
         s1 = excess + 1.0
         step = excess * s1 / s2
         nu += step
@@ -254,7 +284,7 @@ def _weighted_root(z_max: float, dz: np.ndarray, c: np.ndarray) -> tuple[float, 
     else:
         raise _unsettled(step)
     nu = max(nu, 0.0)
-    return math.log(top + nu), nu, delta
+    return math.log(top + nu), nu, steps
 
 
 def _biased_pair(
@@ -265,8 +295,11 @@ def _biased_pair(
     v_a = s_a / (nu + Delta_a + c_a), the dominant eigenvector unnormalised.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        t, z_max, dz, c, _, _ = _rank_one(j, lev, beta, field)
-        log_top, nu, delta = _weighted_root(z_max, dz, c)
+        t, z_max, g, m, c, _, _ = _rank_one(j, lev, beta, field)
+        _require_finite(c)
+        top = math.exp(z_max)
+        delta = _gaps(g, m, beta, top)
+        log_top, nu, _ = _weighted_root(_lower_bound(delta, c, top), top, delta, c)
     return t + log_top, np.sqrt(c) / (nu + delta + c)
 
 
@@ -280,9 +313,7 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     package normalises v; zero bias takes the same weighted solve, with
     every s_a = 1.
     """
-    log_lambda, v = _biased_pair(
-        np.array(params.couplings.values), np.array(params.levels), params.beta, params.field
-    )
+    log_lambda, v = _biased_pair(*_arrays(params), params.beta, params.field)
     return log_lambda, v / math.sqrt((v * v).sum())
 
 
@@ -339,26 +370,34 @@ def _lambda1_floor(diag: np.ndarray, c: np.ndarray) -> float:
 
     It is (c . diag + 2 sum_{a > b} c_a c_b) / sum c, where sum c e + (sum
     c)^2 would cancel; a weight that overflows makes it nan, and L is 1.
+    Its two sums are 1-D reductions: on calls run cold, as the benchmark
+    runs them, summing both series as the rows of one (2, q) buffer made
+    log Z about 4 % slower end to end.  L is the shortcut's Newton start
+    as well as its proof: from nu = L - exp(z_max) the weighted solve
+    settled in 2-5 steps on the ``finite_ring`` draws of seeds 1-10 and 2-6
+    over seeds 100-199, 6 only where L = 1.
     """
-    cum = c.cumsum()
-    rayleigh = ((c * diag).sum() + 2.0 * (c[1:] * cum[:-1]).sum()) / cum[-1]
-    return rayleigh if rayleigh > 1.0 else 1.0
+    cum = np.add.accumulate(c)
+    rayleigh = (np.add.reduce(c * diag) + 2.0 * np.add.reduce(c[1:] * cum[:-1])) / cum[-1]
+    return float(rayleigh) if rayleigh > 1.0 else 1.0
 
 
 def _log_trace_power(a: np.ndarray, n: int) -> float:
     """log Tr a^n, n >= 2, of a symmetric, entrywise non-negative matrix a, by binary powering.
 
-    p = a^(n // 2) is built bit by bit, each product divided by its largest
-    entry, whose log joins p's scale; every sum adds non-negative terms, so
-    nothing cancels.  Tr a^n is sum(p * p) >= 1, or sum(p * (p @ a)) for odd
-    n, which raises ConvergenceError below the smallest normal double (beta
-    times the entry span past about 708): its terms then have few bits.
+    p = a^(n // 2) is built bit by bit, each product divided in place by its
+    largest entry, whose log joins p's scale; every sum adds non-negative
+    terms, so nothing cancels.  Tr a^n is sum(p * p) >= 1, or sum(p * (p @
+    a)) for odd n, which raises ConvergenceError below the smallest normal
+    double (beta times the entry span past about 708): its terms then have
+    few bits.
     """
     p, log_p = a, 0.0
     for bit in bin(n // 2)[3:]:
         p = p @ p @ a if bit == "1" else p @ p
-        top = float(p.max())
-        p, log_p = p / top, 2.0 * log_p + math.log(top)
+        top = float(np.maximum.reduce(p, axis=None))
+        np.divide(p, top, out=p)
+        log_p = 2.0 * log_p + math.log(top)
     trace = float(np.vdot(p, p @ a if n % 2 else p))
     if trace < np.finfo(float).tiny:
         raise ConvergenceError("Tr M^N underflows; reduce beta*J or beta*D", residual=trace)
@@ -374,9 +413,12 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     Sorensen, Numer. Math. 31, 1978) every eigenvalue but lambda_1 is at
     most B = max_a |e_a| in size, and Z_N = lambda_1^N (1 + r) with |r| <=
     (q - 1) (B / lambda_1)^N.  When (q - 1) (B / L)^N < 2^-53, with L <=
-    lambda_1 from :func:`_lambda1_floor`, log Z_N = N log lambda_1 to
-    rounding, from one weighted secular solve (:func:`_weighted_root`); a
-    weight c_a that overflows makes B infinite.
+    lambda_1 e^-t from :func:`_lambda1_floor`, log Z_N = N log lambda_1 to
+    rounding, from one weighted secular solve (:func:`_weighted_root`)
+    started at nu = L - exp(z_max): there L > B >= |e_a|, so every
+    denominator L - e_a of the first step is positive and no near-pole
+    needs :func:`_lower_bound`'s guard.  A weight c_a that overflows makes
+    B infinite, and a finite B proves every weight finite.
 
     Every other ring takes :func:`_log_trace_power` of exp(-t) M, formed
     from the same exponents as exp(z_a) on the diagonal and exp((u_a +
@@ -388,16 +430,17 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
     """
     n_sites = _count(n_sites, 1, "n_sites must be a positive integer")
     with np.errstate(over="ignore", invalid="ignore"):
-        t, z_max, dz, c, z, u = _rank_one(
-            np.array(params.couplings.values), np.array(params.levels), params.beta, params.field
-        )
+        t, z_max, g, m, c, z, u = _rank_one(*_arrays(params), params.beta, params.field)
         if n_sites == 1:
-            return t + z_max + math.log(float(np.exp(z - z_max).sum()))
+            return t + z_max + math.log(float(np.add.reduce(np.exp(z - z_max))))
         diag = np.exp(z)
         bound = _largest(np.abs(diag - c))
-        log_ratio = math.log(bound) - math.log(_lambda1_floor(diag, c)) if bound else -math.inf
+        floor = _lambda1_floor(diag, c)
+        log_ratio = math.log(bound) - math.log(floor) if bound else -math.inf
         if math.log(params.q - 1) + n_sites * log_ratio < _LOG_NEGLIGIBLE:
-            return n_sites * (t + _weighted_root(z_max, dz, c)[0])
+            top = math.exp(z_max)
+            delta = _gaps(g, m, params.beta, top)
+            return n_sites * (t + _weighted_root(floor - top, top, delta, c)[0])
         # The diagonal of the outer sum is u_a, which can overflow exp
         # where the diagonal exponent z_a does not; it is overwritten.
         u *= 0.5

@@ -1,6 +1,7 @@
 """Transfer-matrix construction, scaling policy, the secular solve and log Z."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -231,9 +232,10 @@ class TestDominantEigenvalue:
         # The uniform states of levels 0 and 1 have equal energy J + D d =
         # -2, so both gaps are 0 and the top scaled diagonal entry is 1; a
         # scale from the other level's rounding puts it at exp(-2.84e-14).
-        _, z_max, dz, *_ = rank_one(params_for(2, 75.21085970476601, (-2.0, -3.0), field=1.0))
+        p = params_for(2, 75.21085970476601, (-2.0, -3.0), field=1.0)
+        _, z_max, g, m, *_ = rank_one(p)
         assert z_max == 0.0
-        assert np.array_equal(dz, [0.0, 0.0])
+        assert np.array_equal(transfer._gaps(g, m, p.beta, 1.0), [0.0, 0.0])
 
 
 class TestInvestmentLanes:
@@ -365,6 +367,23 @@ def ring_couplings(q, seed, tie):
 EPS = 2.0**-52
 
 
+def ring_draws(seeds):
+    """(params, N) shaped like the finite_ring benchmark, two per rung of q = 4, 9, ..., 114.
+
+    N is log-uniform on 1..2000, |D| uniform on [0.05, 1] with either sign,
+    couplings uniform on [-2, 2], and beta capped so that the transfer
+    matrix's entries span at most e^10.
+    """
+    for seed in seeds:
+        rng = random.Random(seed)
+        for q in [q for q in range(4, 115, 5) for _ in range(2)]:
+            n = min(2000, math.floor(math.exp(rng.random() * math.log(2001))))
+            field = (0.05 + 0.95 * rng.random()) * (1.0 if rng.random() < 0.5 else -1.0)
+            j = [-2.0 + 4.0 * rng.random() for _ in range(q)]
+            beta = (0.02 + 0.98 * rng.random()) * 10.0 / ((q - 1) * abs(field) + 4.0)
+            yield params_for(q, beta, j, field=field), n
+
+
 class TestLogPartitionFunction:
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (7, 11)])
     def test_infinite_temperature(self, q, n):
@@ -465,7 +484,7 @@ class TestLogPartitionFunction:
         # c = (8.8e-27, 4.9e8) and lambda_1 e^-t = 1: the cancelling form
         # sum c e + (sum c)^2 over sum c reads 4.2e-8 above it.
         p = params_for(2, 40.0, (-1.0, 0.5), field=-2.0)
-        t, _, _, c, z, _ = rank_one(p)
+        t, _, _, _, c, z, _ = rank_one(p)
         diag = np.exp(z)
         scaled = math.exp(dominant_eigenvalue(p)[0] - t)
         assert transfer._lambda1_floor(diag, c) <= scaled
@@ -493,7 +512,7 @@ class TestLogPartitionFunction:
         j[-1 if negative_field else 0] = dominance / beta
         p = params_for(q, beta, j, field=-field if negative_field else field)
         log_lambda1, _ = dominant_eigenvalue(p)
-        t, _, _, c, z, _ = rank_one(p)
+        t, _, _, _, c, z, _ = rank_one(p)
         # The scaled entries' exponents round by about eps |t|.
         floor = transfer._lambda1_floor(np.exp(z), c)
         assert math.log(floor) <= log_lambda1 - t + 4 * EPS * (1.0 + abs(t))
@@ -604,6 +623,93 @@ class TestLogPartitionFunction:
         monkeypatch.setattr(transfer, "_rank_one", counted)
         log_partition_function(params_for(60, 0.1, ring_couplings(60, 7, "none"), field=0.3), 2000)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "couplings,beta,field",
+        [
+            ((1.0, -1.0, 0.5), 1.0, 0.3),
+            ((0.6, -0.4), 0.8, -0.7),
+            (tuple(np.linspace(-2.0, 2.0, 10)), 0.5, 0.2),
+        ],
+    )
+    def test_a_start_above_the_root_settles_down_in_one_step(self, couplings, beta, field):
+        # The Rayleigh floor L that starts the shortcut's solve may round
+        # above lambda_1 e^-t by up to 4 eps (1 + |t|), as the floor test
+        # above allows.  Newton on the concave reciprocal then steps down
+        # once, to within rounding of the root from the 2 x 2 start.
+        p = params_for(len(couplings), beta, couplings, field=field)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, z_max, g, m, c, _, _ = rank_one(p)
+            top = math.exp(z_max)
+            delta = transfer._gaps(g, m, p.beta, top)
+            nu0 = transfer._lower_bound(delta, c, top)
+            _, root, _ = transfer._weighted_root(nu0, top, delta, c)
+            start = (top + root) * (1.0 + 4.0 * EPS * (1.0 + abs(t))) - top
+            _, nu, steps = transfer._weighted_root(start, top, delta, c)
+        assert start > root
+        assert steps == 1
+        assert nu <= start
+        assert abs(nu - root) <= 2.0 * math.ulp(top + root)
+
+    @given(
+        q=st.integers(2, 200),
+        field=st.floats(0.05, 1.0),
+        negative_field=st.booleans(),
+        beta_fraction=st.floats(0.0, 1.0),
+        log_n=st.floats(math.log(2.0), math.log(1e4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shortcut_from_the_floor_is_n_log_lambda1(
+        self, q, field, negative_field, beta_fraction, log_n, seed
+    ):
+        # beta is capped so that the entries span at most e^10.  Only draws
+        # that take the shortcut count; its solve starts from the Rayleigh
+        # floor, dominant_eigenvalue's from the 2 x 2 bound.
+        beta = beta_fraction * 10.0 / ((q - 1) * field + 4.0)
+        n = max(2, round(math.exp(log_n)))
+        j = np.random.default_rng(seed).uniform(-2.0, 2.0, q)
+        p = params_for(q, beta, j, field=-field if negative_field else field)
+        solved = []
+        weighted_root = transfer._weighted_root
+
+        def spy(*args):
+            solved.append(args)
+            return weighted_root(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "_weighted_root", spy)
+            got = log_partition_function(p, n)
+        assume(solved)
+        log_lambda1, _ = dominant_eigenvalue(p)
+        assert abs(got - n * log_lambda1) <= 8 * n * EPS * max(1.0, abs(log_lambda1))
+
+    def test_newton_steps_on_finite_ring_shaped_draws(self, monkeypatch):
+        # The 460 draws of seeds 1-10: 290 take the shortcut, which settles
+        # in 2-5 steps from the Rayleigh floor (7 of 3,093 shortcut draws of
+        # seeds 100-199 took 6, each from L = 1, a start of nu = 0), and
+        # every biased dominant_eigenvalue solve, from the 2 x 2 bound,
+        # settles in 3-6 (at most 7 over seeds 100-199).
+        steps = []
+        weighted_root = transfer._weighted_root
+
+        def counted(*args):
+            result = weighted_root(*args)
+            steps.append(result[2])
+            return result
+
+        monkeypatch.setattr(transfer, "_weighted_root", counted)
+        shortcut, biased = [], []
+        for p, n in ring_draws(range(1, 11)):
+            log_partition_function(p, n)
+            shortcut += steps
+            steps.clear()
+            dominant_eigenvalue(p)
+            biased += steps
+            steps.clear()
+        assert len(shortcut) == 290 and len(biased) == 460
+        assert max(shortcut) <= 5
+        assert max(biased) <= 9
 
     @staticmethod
     def spied_log_z(monkeypatch, p, n):
