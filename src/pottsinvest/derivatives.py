@@ -157,22 +157,24 @@ def _investment(setup: tuple, beta: float) -> float:
     At beta = 0 it is the plain mean of the levels.  At zero bias the
     solve is :func:`.transfer._secular_root` from the gaps, start and
     overflow verdict of :func:`.transfer._secular_start`, as every lane of
-    an ensemble is solved.
+    an ensemble is solved, and its v^2 and sum v^2 are those of the Newton
+    pass that proved the root.
     """
     j, lev, field, j_min, j_span, low, high = setup
     if beta == 0.0:
         return math.fsum(lev) / len(lev)
     if field != 0.0:
         v = _biased_pair(j, lev, beta, field)[1]
+        weights = v * v
+        v2 = float(np.add.reduce(weights))
     else:
         delta, mu, finite = _secular_start(j_span, j_min, -beta)
         if not finite[0]:
             raise ValueError(_OVERFLOW)
-        v = 1.0 / (_secular_root(delta, float(mu[0])) + delta)
+        weights, v2 = _secular_root(delta, float(mu[0]))
     # v is unnormalised; dividing by sum v_a^2 also makes ties exact: equal
     # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
-    weights = v * v
-    return min(max(float((lev * weights).sum() / weights.sum()), low), high)
+    return min(max(float(np.add.reduce(lev * weights)) / v2, low), high)
 
 
 def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None) -> float:

@@ -25,15 +25,18 @@ bias every weight is 1, and l takes the unit-weight solve of
 :func:`_secular_root`, from the gaps and start of :func:`_secular_start`,
 the one place the zero-bias exponents are formed and judged: a point
 overflows only where -beta J_min or a gap exponent -beta (J(a) - J_min) is
-not finite, and a diagonal entry below the double range is 0.  Both solves
-hand back v as its raw secular weights, unnormalised, since l divides by
-sum_a v_a^2 anyway; only :func:`dominant_eigenvalue`, which returns v,
-scales it to unit length.  Every sum in these O(q) solves is a numpy
-reduction, not a BLAS call, so the BLAS kernel decides none of their bits;
-BLAS serves only the O(q^3) matrix products of log Z's powering route.
-On log Z's path the reductions are called as ufunc methods (np.add.reduce
-for .sum()), the same loops without the Python layer of the ndarray
-methods, which shows on calls that run with cold caches.
+not finite, and a diagonal entry below the double range is 0.  Its Newton
+start is a Jensen bound on the root, and the pass that proves the root
+hands back v_a^2 and sum_a v_a^2, with v the raw secular weights, so l
+evaluates nothing again.  The weighted solve hands back v unnormalised,
+since l divides by sum_a v_a^2 anyway; only :func:`dominant_eigenvalue`,
+which returns v, scales it to unit length.  Every sum in these O(q) solves
+is a numpy reduction, not a BLAS call, so the BLAS kernel decides none of
+their bits; BLAS serves only the O(q^3) matrix products of log Z's
+powering route.  On log Z's path and on zero-bias l's the reductions are
+called as ufunc methods (np.add.reduce for .sum()), the same loops without
+the Python layer of the ndarray methods, which shows on calls that run
+with cold caches.
 :func:`investment_lanes` runs the unit-weight solve on many coupling
 vectors and betas at once, one contiguous row of q levels per lane, each
 row summed as a single point is, so every lane is bit for bit the single
@@ -58,9 +61,11 @@ __all__ = [
     "log_partition_function",
 ]
 
-# Newton steps allowed for the secular equation.  At zero bias at most 8
-# were needed over q up to 300, beta from 1e-3 to 1e3 and tied or near-tied
-# coupling minima, and at most 4 on random-profile ensembles up to q = 200.
+# Newton steps allowed for the secular equation.  At zero bias, from the
+# Jensen start and counting the pass that proves the root, at most 7 were
+# needed over 4,500 draws with q up to 300, beta from 1e-3 to 1e3 and tied
+# or near-tied coupling minima, and at most 4 on random-profile ensembles up
+# to q = 200 (3 from q = 8 to 60, 2 at q = 100 and 200).
 # The weighted solve from the 2 x 2 start (dominant_eigenvalue, the bias
 # stencil) took at most 9 over q up to 200, beta to 1e3 and |D| to 10, and
 # 3-7 on 5,060 draws shaped like the finite_ring benchmark; log Z's
@@ -110,24 +115,32 @@ def _secular_start(j_span, j_min, neg_beta) -> tuple[np.ndarray, np.ndarray, np.
     The zero-bias exponents are x_max + dx, with scale x_max = -beta J_min
     and gap exponents dx = -beta (J - J_min) <= 0, formed here and nowhere
     else; dx keeps the split of a near-tie.  Delta_a = exp(x_max +
-    log(-expm1(dx_a))), formed in place in dx, is 0 on tied levels and inf
-    where it overflows; the start is the number of zero gaps.  A lane is
-    finite, the one overflow verdict, when x_max and every dx_a are: a
-    diagonal exponent x_max + dx_a below the double range is an entry of 0
-    and does not count.  The arguments broadcast, levels on the last axis:
-    a point passes J - J_min, a 1-element J_min and a float -beta; a block
-    of lanes a (seeds, 1, q) span, a (seeds, 1, 1) J_min and a (betas, 1)
-    column of -beta.  Starts and verdicts keep a last axis of length 1.
+    log(-expm1(dx_a))), formed in place in dx, C-ordered whatever layout
+    the inputs have, is 0 on tied levels and inf where it overflows.  The
+    start is mu_0 = max(1, q - mean_a Delta_a), a lower bound on the root
+    by Jensen's inequality, sum_a 1 / (mu + Delta_a) >= q / (mu + mean
+    Delta), and by the zero gap of the J_min level; the mean sums each
+    lane's contiguous row as a single point's vector is summed.  A lane is
+    finite, the one overflow verdict, when x_max and every dx_a are, which
+    the largest span decides, as spans are >= 0 and never nan: a diagonal
+    exponent x_max + dx_a below the double range is an entry of 0 and does
+    not count.  The arguments broadcast, levels on the last axis: a point
+    passes J - J_min, a 1-element J_min and a float -beta; a block of lanes
+    a (seeds, 1, q) span, a (seeds, 1, 1) J_min and a (betas, 1) column of
+    -beta.  Starts and verdicts keep a last axis of length 1.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x_max = neg_beta * j_min
-        delta = neg_beta * j_span
-        finite = np.isfinite(delta).all(axis=-1, keepdims=True) & np.isfinite(x_max)
+        finite = np.isfinite(neg_beta * np.maximum.reduce(j_span, axis=-1, keepdims=True))
+        finite &= np.isfinite(x_max)
+        delta = np.multiply(neg_beta, j_span, order="C")
         np.expm1(delta, out=delta)
         np.negative(delta, out=delta)
         np.log(delta, out=delta)
         np.exp(np.add(delta, x_max, out=delta), out=delta)
-    return delta, (delta == 0.0).sum(axis=-1, keepdims=True, dtype=float), finite
+        q = delta.shape[-1]
+        mu = np.maximum(q - np.add.reduce(delta, axis=-1, keepdims=True) / q, 1.0)
+    return delta, mu, finite
 
 
 def _unsettled(residual: float) -> ConvergenceError:
@@ -190,31 +203,33 @@ def _gaps(g: np.ndarray, m: int, beta: float, top: float) -> np.ndarray:
     return np.multiply(np.expm1(g, out=g), -top, out=g)
 
 
-def _secular_root(delta: np.ndarray, mu: float) -> float:
-    """Root mu of the secular equation sum_a 1 / (mu + delta_a) = 1 by Newton from below.
+def _secular_root(delta: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
+    """w_a^2 and S2 = sum_a w_a^2 at the root mu of sum_a w_a = 1, w_a = 1 / (mu + delta_a).
 
     This is the zero-bias solve, with every s_a = 1, written for mu = nu +
-    1: mu is the root in [1, q], the start from :func:`_secular_start` is
-    the number of levels tied at the coupling minimum, and the dominant
-    eigenvector is v_a = 1 / (mu + delta_a), unnormalised; a gap that
-    overflows to inf drops out.  Newton runs on the reciprocal h(mu) = 1 /
-    S1 with S1 = sum_a w_a and w_a = 1 / (mu + delta_a), whose root h = 1
-    is the same (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the
-    step is (S1 - 1) S1 / S2 with S2 = sum w^2.  h is a scaled harmonic
-    mean of the denominators, so it is concave and increasing, and Newton
-    from a start where h <= 1 increases monotonically to the root without
-    overshooting; being nearly linear it needs only a few steps.  Raises
-    :class:`ConvergenceError` if it has not settled within a fixed step
-    cap.
+    1: mu is the root in [1, q], the start is :func:`_secular_start`'s
+    Jensen bound, and the dominant eigenvector is v = w, unnormalised; a
+    gap that overflows to inf drops out.  Newton runs on the reciprocal
+    h(mu) = 1 / S1 with S1 = sum_a w_a, whose root h = 1 is the same (Moré
+    & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the step is (S1 - 1)
+    S1 / S2.  h is a scaled harmonic mean of the denominators, so it is
+    concave and increasing, and Newton from a start where h <= 1 increases
+    monotonically to the root without overshooting; being nearly linear it
+    needs only a few steps.  The pass whose step is at most 1e-14 mu proves
+    convergence and ends the solve without adding that step, so l reads
+    its w^2 and S2 and nothing is evaluated again; a start that rounding
+    puts a few ulps above the root takes a step below 0 and ends there.
+    Raises :class:`ConvergenceError` if it has not settled within a fixed
+    step cap.
     """
     for _ in range(_NEWTON_CAP):
         w = 1.0 / (mu + delta)
-        s1 = float(w.sum())
-        excess, s2 = s1 - 1.0, float((w * w).sum())
-        step = excess * s1 / s2
-        mu += step
+        ww = w * w
+        s1, s2 = float(np.add.reduce(w)), float(np.add.reduce(ww))
+        step = (s1 - 1.0) * s1 / s2
         if step <= _NEWTON_RTOL * mu:
-            return mu
+            return ww, s2
+        mu += step
     raise _unsettled(step)
 
 
@@ -323,15 +338,17 @@ def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
     The result has the lanes' shape, (seeds, betas) for a block.  Each
     lane is solved as :func:`_secular_root` solves one point, with the
     same gaps and start: Newton steps on the concave reciprocal 1 / sum_a
-    w_a, under the same cap.  Every step runs on the whole block; a lane
-    whose step has settled gets steps of exactly 0 from then on, so it
-    takes exactly the steps it would take alone.  Then l = sum_a d_a w_a^2
-    / sum_a w_a^2 with w_a = 1 / (mu + Delta_a), clamped to [d_0,
-    d_{q-1}].  The terms of every sum over levels sit in one contiguous row
-    per lane of a C-ordered work buffer, whatever layout the inputs have,
-    and numpy sums each row with the pairwise loop it runs on a single
-    vector: each lane's bits are those of the single solve, alone, in any
-    block and in any memory layout.
+    w_a, under the same cap, and a lane stops, without adding it, at the
+    first step of at most 1e-14 mu.  Every step runs on the whole block; a
+    settled lane gets steps of exactly 0 from then on, so it takes exactly
+    the steps it would take alone, and the last pass holds every lane's w^2
+    and S2 = sum_a w_a^2 as they were in the pass that settled it.  Then l
+    = sum_a d_a w_a^2 / S2, clamped to [d_0, d_{q-1}].  The terms of every
+    sum over levels sit in one contiguous row per lane of a C-ordered work
+    buffer, whatever layout the inputs have, and numpy sums each row with
+    the pairwise loop it runs on a single vector: each lane's bits are
+    those of the single solve, alone, in any block and in any memory
+    layout.
 
     A lane that is not finite raises ValueError, and a lane still moving
     after the step cap raises :class:`ConvergenceError`; the exception's
@@ -345,24 +362,22 @@ def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
     for _ in range(_NEWTON_CAP):
         np.divide(1.0, np.add(delta, mu, out=w), out=w)
         np.multiply(w, w, out=ww)
-        s1, s2 = pair.sum(axis=-1, keepdims=True)
+        s1, s2 = np.add.reduce(pair, axis=-1, keepdims=True)
         step = (s1 - 1.0) * s1 / s2
+        moving &= ~(step <= _NEWTON_RTOL * mu)
+        if not np.logical_or.reduce(moving, axis=None):
+            break
         np.copyto(step, 0.0, where=~moving)
         mu += step
-        moving &= ~(step <= _NEWTON_RTOL * mu)
-        if not moving.any():
-            break
     failed = np.flatnonzero(moving | ~finite)
     if failed.size:
         lane = int(failed[0])
         exc = _unsettled(float(step.flat[lane])) if finite.flat[lane] else ValueError(_OVERFLOW)
         exc.lane = lane
         raise exc
-    np.divide(1.0, np.add(delta, mu, out=w), out=w)
-    np.multiply(w, w, out=ww)
     np.multiply(ww, lev, out=w)
-    dv2, v2 = pair.sum(axis=-1)
-    return np.minimum(np.maximum(dv2 / v2, lev[0]), lev[-1])
+    l = np.add.reduce(w, axis=-1) / s2[..., 0]
+    return np.minimum(np.maximum(l, lev[0]), lev[-1])
 
 
 def _lambda1_floor(diag: np.ndarray, c: np.ndarray) -> float:

@@ -233,7 +233,10 @@ class TestPerCapitaInvestment:
         gaps[-1] = 1.0 / 0.67925
         start = (gaps, np.zeros(1), np.ones(1, dtype=bool))
         monkeypatch.setattr(derivatives, "_secular_start", lambda j_span, j_min, neg_beta: start)
-        monkeypatch.setattr(derivatives, "_secular_root", lambda delta, mu: 0.0)
+        weights = (1.0 / gaps) ** 2
+        monkeypatch.setattr(
+            derivatives, "_secular_root", lambda delta, mu: (weights, float(weights.sum()))
+        )
         p = params_for(10, 1.0, range(10))
         assert per_capita_investment(p) == 9.0
         assert sweep_curve(p, [1.0]).points == ((1.0, 9.0),)

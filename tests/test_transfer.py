@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -236,6 +237,53 @@ class TestDominantEigenvalue:
         _, z_max, g, m, *_ = rank_one(p)
         assert z_max == 0.0
         assert np.array_equal(transfer._gaps(g, m, p.beta, 1.0), [0.0, 0.0])
+
+
+def decimal_unit_root(delta):
+    """The root mu of sum_a 1 / (mu + delta_a) = 1 for float gaps, in 40-digit decimal arithmetic.
+
+    Newton on the reciprocal of the sum from mu = 1, where the sum is at
+    least 1 since one gap is 0, climbs to the root without overshooting.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        gaps = [Decimal(float(d)) for d in delta]
+        mu = Decimal(1)
+        for _ in range(1000):
+            w = [1 / (mu + g) for g in gaps]
+            s1 = sum(w)
+            step = (s1 - 1) * s1 / sum(x * x for x in w)
+            mu += step
+            if step <= Decimal(10) ** -36 * mu:
+                return float(mu)
+    raise AssertionError("decimal Newton did not settle")
+
+
+class TestSecularStart:
+    @given(
+        q=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from([0.0, 1e-9, -1e-9]),
+        log_beta=st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_jensen_start_is_below_the_root(self, q, seed, split, log_beta):
+        # Integer couplings in [-3, 3] tie often; a split of 1e-9 turns a
+        # tie at the minimum into a near-tie, where the Jensen bound is
+        # tight to rounding.
+        rng = np.random.default_rng(seed)
+        j = rng.integers(-3, 4, q).astype(float)
+        if split:
+            m = int(j.argmin())
+            j[(m + int(rng.integers(1, q))) % q] = j[m] + split
+        j_min = j.min(keepdims=True)
+        delta, mu, finite = transfer._secular_start(j - j_min, j_min, -(10.0**log_beta))
+        assert finite[0]
+        root = decimal_unit_root(delta)
+        assert mu[0] <= root + 4 * math.ulp(root)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "_NEWTON_CAP", 8)
+            transfer._secular_root(delta, float(mu[0]))
 
 
 class TestInvestmentLanes:
