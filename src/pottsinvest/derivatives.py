@@ -7,9 +7,10 @@ The per-capita investment at inverse control parameter beta and bias D is
 with lambda_1 the dominant transfer-matrix eigenvalue.  By Hellmann-Feynman
 (Feynman, Phys. Rev. 56, 1939) the bias derivative is exact in terms of the
 dominant eigenvector v at any bias: l = sum_a d_a v_a^2 / sum_a v_a^2, a
-convex combination of the levels.  That is the default path, with v the raw
-secular weights of :mod:`.transfer`, never normalised, since the division
-by sum_a v_a^2 does that.
+convex combination of the levels.  That is the default path, with v_a^2
+and sum_a v_a^2 as the Newton pass that proves the root of a secular solve
+of :mod:`.transfer` holds them, v never normalised, since the division by
+sum_a v_a^2 does that.
 
 The paper instead differentiates numerically; passing a
 :class:`StencilConfig` reproduces that as a cross-check.  Two stencils are
@@ -29,11 +30,11 @@ random-profile ensembles of :mod:`.profiles`, passes every seed's J - J_min
 and J_min with a column of -beta to :func:`.transfer.investment_lanes`, a
 bounded (seeds, betas) block at a time, and forms no exponent itself.  At
 zero bias :mod:`.transfer` alone forms the exponents, and both sweeps take
-its one overflow verdict: a point overflows only when -beta J_min or a gap
-exponent -beta (J(a) - J_min) is not finite.  Lanes never mix in an
-operation and each row is summed as a single point is, so each seed's
-curve is bitwise the one :func:`sweep_curve` gives on its couplings, swept
-alone or with others, failures included.
+the one overflow verdict it raises: a point overflows only when -beta
+J_min or a gap exponent -beta (J(a) - J_min) is not finite.  Lanes never
+mix in an operation and each row is summed as a single point is, so each
+seed's curve is bitwise the one :func:`sweep_curve` gives on its
+couplings, swept alone or with others, failures included.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import (
-    _OVERFLOW, ConvergenceError, _biased_pair, _secular_root, _secular_start, investment_lanes
-)
+from .transfer import ConvergenceError, _biased_pair, _secular_root, investment_lanes
 
 __all__ = [
     "StencilConfig",
@@ -154,24 +153,19 @@ def _curve_setup(params: ModelParams) -> tuple:
 def _investment(setup: tuple, beta: float) -> float:
     """l at one beta >= 0 from a curve's setup: one secular solve, then sum d v^2 / sum v^2.
 
-    At beta = 0 it is the plain mean of the levels.  At zero bias the
-    solve is :func:`.transfer._secular_root` from the gaps, start and
-    overflow verdict of :func:`.transfer._secular_start`, as every lane of
-    an ensemble is solved, and its v^2 and sum v^2 are those of the Newton
-    pass that proved the root.
+    At beta = 0 it is the plain mean of the levels.  Either solve hands
+    back v^2 and sum v^2 as the Newton pass that proved its root held
+    them: the weighted one of :func:`.transfer._biased_pair` at nonzero
+    bias, and at zero bias :func:`.transfer._secular_root`, with the gaps,
+    start and overflow verdict every lane of an ensemble is solved from.
     """
     j, lev, field, j_min, j_span, low, high = setup
     if beta == 0.0:
         return math.fsum(lev) / len(lev)
     if field != 0.0:
-        v = _biased_pair(j, lev, beta, field)[1]
-        weights = v * v
-        v2 = float(np.add.reduce(weights))
+        _, weights, v2 = _biased_pair(j, lev, beta, field)
     else:
-        delta, mu, finite = _secular_start(j_span, j_min, -beta)
-        if not finite[0]:
-            raise ValueError(_OVERFLOW)
-        weights, v2 = _secular_root(delta, float(mu[0]))
+        weights, v2 = _secular_root(j_span, j_min, -beta)
     # v is unnormalised; dividing by sum v_a^2 also makes ties exact: equal
     # weights on levels 0 and 1 give 1/2, not 0.4999999999999999.
     return min(max(float(np.add.reduce(lev * weights)) / v2, low), high)

@@ -22,15 +22,16 @@ at D != 0 and the bias stencil of :mod:`.derivatives`, starting Newton
 from a lower bound out of 2 x 2 principal submatrices, and log Z_N on long
 rings, starting from the Rayleigh floor that chose that route.  At zero
 bias every weight is 1, and l takes the unit-weight solve of
-:func:`_secular_root`, from the gaps and start of :func:`_secular_start`,
-the one place the zero-bias exponents are formed and judged: a point
-overflows only where -beta J_min or a gap exponent -beta (J(a) - J_min) is
-not finite, and a diagonal entry below the double range is 0.  Its Newton
-start is a Jensen bound on the root, and the pass that proves the root
-hands back v_a^2 and sum_a v_a^2, with v the raw secular weights, so l
-evaluates nothing again.  The weighted solve hands back v unnormalised,
-since l divides by sum_a v_a^2 anyway; only :func:`dominant_eigenvalue`,
-which returns v, scales it to unit length.  Every sum in these O(q) solves
+:func:`_secular_root`, from the gaps, start and overflow verdict of
+:func:`_secular_start`, the one place the zero-bias exponents are formed
+and judged: a point overflows only where -beta J_min or a gap exponent
+-beta (J(a) - J_min) is not finite, and a diagonal entry below the double
+range is 0.  Its Newton start is a Jensen bound on the root.  Both solves
+end alike: the Newton pass that proves the root hands back v_a^2 and
+sum_a v_a^2, with v the raw secular weights, unnormalised, so l, which
+divides by sum_a v_a^2 anyway, evaluates nothing again; only
+:func:`dominant_eigenvalue`, which returns v, scales it to unit length,
+from the same pair.  Every sum in these O(q) solves
 is a numpy reduction, not a BLAS call, so the BLAS kernel decides none of
 their bits; BLAS serves only the O(q^3) matrix products of log Z's
 powering route.  On log Z's path and on zero-bias l's the reductions are
@@ -203,16 +204,18 @@ def _gaps(g: np.ndarray, m: int, beta: float, top: float) -> np.ndarray:
     return np.multiply(np.expm1(g, out=g), -top, out=g)
 
 
-def _secular_root(delta: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
-    """w_a^2 and S2 = sum_a w_a^2 at the root mu of sum_a w_a = 1, w_a = 1 / (mu + delta_a).
+def _secular_root(j_span, j_min, neg_beta) -> tuple[np.ndarray, float]:
+    """w_a^2 and S2 = sum_a w_a^2 at the root mu of sum_a w_a = 1, w_a = 1 / (mu + Delta_a).
 
-    This is the zero-bias solve, with every s_a = 1, written for mu = nu +
-    1: mu is the root in [1, q], the start is :func:`_secular_start`'s
-    Jensen bound, and the dominant eigenvector is v = w, unnormalised; a
-    gap that overflows to inf drops out.  Newton runs on the reciprocal
-    h(mu) = 1 / S1 with S1 = sum_a w_a, whose root h = 1 is the same (Moré
-    & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the step is (S1 - 1)
-    S1 / S2.  h is a scaled harmonic mean of the denominators, so it is
+    This is the zero-bias solve of one point, from the gaps, start and
+    overflow verdict of :func:`_secular_start` on its arguments, with every
+    s_a = 1, written for mu = nu + 1: mu is the root in [1, q], the start
+    is the Jensen bound, and the dominant eigenvector is v = w,
+    unnormalised; a gap that overflows to inf drops out.  A point that is
+    not finite raises ValueError.  Newton runs on the reciprocal h(mu) = 1
+    / S1 with S1 = sum_a w_a, whose root h = 1 is the same (Moré &
+    Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the step is (S1 - 1) S1
+    / S2.  h is a scaled harmonic mean of the denominators, so it is
     concave and increasing, and Newton from a start where h <= 1 increases
     monotonically to the root without overshooting; being nearly linear it
     needs only a few steps.  The pass whose step is at most 1e-14 mu proves
@@ -222,6 +225,10 @@ def _secular_root(delta: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
     Raises :class:`ConvergenceError` if it has not settled within a fixed
     step cap.
     """
+    delta, mu, finite = _secular_start(j_span, j_min, neg_beta)
+    if not finite[0]:
+        raise ValueError(_OVERFLOW)
+    mu = float(mu[0])
     for _ in range(_NEWTON_CAP):
         w = 1.0 / (mu + delta)
         ww = w * w
@@ -257,8 +264,8 @@ def _lower_bound(delta: np.ndarray, c: np.ndarray, top: float) -> float:
 
 def _weighted_root(
     nu: float, top: float, delta: np.ndarray, c: np.ndarray
-) -> tuple[float, float, int]:
-    """log(lambda_1) - t, the root nu and the Newton steps taken, from a start nu <= the root.
+) -> tuple[float, float, int, np.ndarray, float]:
+    """log(lambda_1) - t, root nu, Newton steps, v^2 and sum_a v_a^2 from a start nu <= the root.
 
     lambda_1 = exp(t) (top + nu), top = exp(z_max), with nu >= 0 the root
     of sum_a c_a / (nu + Delta_a + c_a) = 1 and the gaps Delta of
@@ -273,7 +280,10 @@ def _weighted_root(
     w_m - 1 = -(nu + Delta_m) w_m, which cancels nothing.  From a start
     where the sum is at least 1 the steps climb to the root without
     overshooting; a start that rounding puts a few ulps above it takes one
-    step down, which ends the loop.  :func:`_biased_pair` starts from
+    step down, which ends the loop.  The step that ends the loop is still
+    added to nu, but v^2 = c w^2, the unnormalised dominant eigenvector
+    v_a = s_a w_a squared, and S2 are those of the pass that proved the
+    root, so nothing is evaluated again.  :func:`_biased_pair` starts from
     :func:`_lower_bound` and settled in 3-7 steps on draws shaped like the
     ``finite_ring`` benchmark; the shortcut of :func:`log_partition_function`
     starts from L - top, with L its Rayleigh floor, where every denominator
@@ -299,23 +309,24 @@ def _weighted_root(
     else:
         raise _unsettled(step)
     nu = max(nu, 0.0)
-    return math.log(top + nu), nu, steps
+    return math.log(top + nu), nu, steps, cww, s2
 
 
 def _biased_pair(
     j: np.ndarray, lev: np.ndarray, beta: float, field: float
-) -> tuple[float, np.ndarray]:
-    """(log lambda_1, v) at bias ``field`` from the arrays :func:`_rank_one` reads.
+) -> tuple[float, np.ndarray, float]:
+    """(log lambda_1, v^2, sum_a v_a^2) at bias ``field`` from the arrays :func:`_rank_one` reads.
 
-    v_a = s_a / (nu + Delta_a + c_a), the dominant eigenvector unnormalised.
+    v_a = s_a / (nu + Delta_a + c_a) is the dominant eigenvector
+    unnormalised, squared as :func:`_weighted_root`'s last pass holds it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         t, z_max, g, m, c, _, _ = _rank_one(j, lev, beta, field)
         _require_finite(c)
         top = math.exp(z_max)
         delta = _gaps(g, m, beta, top)
-        log_top, nu, _ = _weighted_root(_lower_bound(delta, c, top), top, delta, c)
-    return t + log_top, np.sqrt(c) / (nu + delta + c)
+        log_top, _, _, v2, s2 = _weighted_root(_lower_bound(delta, c, top), top, delta, c)
+    return t + log_top, v2, s2
 
 
 def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
@@ -323,13 +334,13 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
 
     Returns (log lambda_1, v) with v the unit, entrywise positive dominant
     eigenvector.  M = exp(t) (diag(exp(z_max + dz) - c) + s s^T) (see
-    :func:`_rank_one`), lambda_1 comes from :func:`_weighted_root`, and v_a
-    is s_a / (nu + Delta_a + c_a) divided by its norm, the one place the
+    :func:`_rank_one`), lambda_1 comes from :func:`_weighted_root`, and v
+    is the square root of its v_a^2 / sum_a v_a^2, the one place the
     package normalises v; zero bias takes the same weighted solve, with
     every s_a = 1.
     """
-    log_lambda, v = _biased_pair(*_arrays(params), params.beta, params.field)
-    return log_lambda, v / math.sqrt((v * v).sum())
+    log_lambda, v2, s2 = _biased_pair(*_arrays(params), params.beta, params.field)
+    return log_lambda, np.sqrt(v2 / s2)
 
 
 def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
@@ -339,37 +350,37 @@ def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
     lane is solved as :func:`_secular_root` solves one point, with the
     same gaps and start: Newton steps on the concave reciprocal 1 / sum_a
     w_a, under the same cap, and a lane stops, without adding it, at the
-    first step of at most 1e-14 mu.  Every step runs on the whole block; a
-    settled lane gets steps of exactly 0 from then on, so it takes exactly
-    the steps it would take alone, and the last pass holds every lane's w^2
-    and S2 = sum_a w_a^2 as they were in the pass that settled it.  Then l
-    = sum_a d_a w_a^2 / S2, clamped to [d_0, d_{q-1}].  The terms of every
-    sum over levels sit in one contiguous row per lane of a C-ordered work
-    buffer, whatever layout the inputs have, and numpy sums each row with
-    the pairwise loop it runs on a single vector: each lane's bits are
-    those of the single solve, alone, in any block and in any memory
-    layout.
+    first step of at most 1e-14 mu.  Every step runs on the whole block,
+    with the steps of settled and of overflowing lanes set to 0; a settled
+    lane recomputes the same pass from its unchanged mu, so it takes
+    exactly the steps it would take alone, and the last pass holds every
+    lane's w^2 and S2 = sum_a w_a^2 as they were in the pass that settled
+    it.  Then l = sum_a d_a w_a^2 / S2, clamped to [d_0, d_{q-1}].  The
+    terms of every sum over levels sit in one contiguous row per lane of a
+    C-ordered work buffer, whatever layout the inputs have, and numpy sums
+    each row with the pairwise loop it runs on a single vector: each lane's
+    bits are those of the single solve, alone, in any block and in any
+    memory layout.
 
-    A lane that is not finite raises ValueError, and a lane still moving
-    after the step cap raises :class:`ConvergenceError`; the exception's
-    ``lane`` attribute is the lowest such lane, as a flat index in C order.
+    A lane that is not finite raises ValueError, and a lane whose last
+    step is not 0, a nan step included, raises :class:`ConvergenceError`;
+    the exception's ``lane`` attribute is the lowest such lane, as a flat
+    index in C order.
     """
     lev = np.asarray(levels, dtype=float)
     delta, mu, finite = _secular_start(j_span, j_min, neg_beta)
     pair = np.empty((2,) + delta.shape)
     w, ww = pair
-    moving = finite.copy()
     for _ in range(_NEWTON_CAP):
         np.divide(1.0, np.add(delta, mu, out=w), out=w)
         np.multiply(w, w, out=ww)
         s1, s2 = np.add.reduce(pair, axis=-1, keepdims=True)
         step = (s1 - 1.0) * s1 / s2
-        moving &= ~(step <= _NEWTON_RTOL * mu)
-        if not np.logical_or.reduce(moving, axis=None):
+        np.copyto(step, 0.0, where=(step <= _NEWTON_RTOL * mu) | ~finite)
+        if not np.logical_or.reduce(step, axis=None):
             break
-        np.copyto(step, 0.0, where=~moving)
         mu += step
-    failed = np.flatnonzero(moving | ~finite)
+    failed = np.flatnonzero((step != 0.0) | ~finite)
     if failed.size:
         lane = int(failed[0])
         exc = _unsettled(float(step.flat[lane])) if finite.flat[lane] else ValueError(_OVERFLOW)

@@ -231,11 +231,11 @@ class TestPerCapitaInvestment:
         # gaps of inf but on the top level make v that vector.
         gaps = np.full(10, math.inf)
         gaps[-1] = 1.0 / 0.67925
-        start = (gaps, np.zeros(1), np.ones(1, dtype=bool))
-        monkeypatch.setattr(derivatives, "_secular_start", lambda j_span, j_min, neg_beta: start)
         weights = (1.0 / gaps) ** 2
         monkeypatch.setattr(
-            derivatives, "_secular_root", lambda delta, mu: (weights, float(weights.sum()))
+            derivatives,
+            "_secular_root",
+            lambda j_span, j_min, neg_beta: (weights, float(weights.sum())),
         )
         p = params_for(10, 1.0, range(10))
         assert per_capita_investment(p) == 9.0
@@ -458,6 +458,20 @@ class TestBiasedInvestment:
             return dominant_eigenvalue(replace(p, field=p.field + offset))[0]
 
         assert per_capita_investment(p, cfg) == -diff(f, cfg.xi) / p.beta
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_secular_oracle(self, seed):
+        # Continuous draws land on no exact crossing of two states, where
+        # the known limits below live.  The oracle solves the same secular
+        # equation in decimal arithmetic, so no spectral gap weighs the error.
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(2, 21))
+        couplings = rng.uniform(-2.0, 2.0, q)
+        field = float(rng.uniform(-1.0, 1.0))
+        beta = 10.0 ** rng.uniform(-2.0, 1.6)
+        p = params_for(q, beta, couplings, field=field)
+        assert abs(per_capita_investment(p) - secular_oracle(p)) <= 1e-14 * (q - 1)
 
     def test_crossing_of_two_uniform_states(self):
         # J + D d is -2 at levels 0 and 2, so their uniform states cross and

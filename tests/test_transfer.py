@@ -277,13 +277,42 @@ class TestSecularStart:
             m = int(j.argmin())
             j[(m + int(rng.integers(1, q))) % q] = j[m] + split
         j_min = j.min(keepdims=True)
-        delta, mu, finite = transfer._secular_start(j - j_min, j_min, -(10.0**log_beta))
+        neg_beta = -(10.0**log_beta)
+        delta, mu, finite = transfer._secular_start(j - j_min, j_min, neg_beta)
         assert finite[0]
         root = decimal_unit_root(delta)
         assert mu[0] <= root + 4 * math.ulp(root)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transfer, "_NEWTON_CAP", 8)
-            transfer._secular_root(delta, float(mu[0]))
+            transfer._secular_root(j - j_min, j_min, neg_beta)
+
+
+def count_steps(monkeypatch, nan_lane=None):
+    """Make investment_lanes' starts count the Newton steps added to them, one entry a step.
+
+    The start of lane ``nan_lane``, if given, is nan.
+    """
+    secular_start, calls = transfer._secular_start, []
+
+    class Counted(np.ndarray):
+        def __iadd__(self, step):
+            calls.append(len(step))
+            return super().__iadd__(step)
+
+    def counted(*args):
+        delta, mu, finite = secular_start(*args)
+        if nan_lane is not None:
+            mu[nan_lane] = math.nan
+        return delta, mu.view(Counted), finite
+
+    monkeypatch.setattr(transfer, "_secular_start", counted)
+    return calls
+
+
+def solve_at_beta_one(*lanes):
+    """investment_lanes at beta = 1 and levels (0, 1) on (J - J_min, J_min) lanes."""
+    span, j_min = zip(*lanes)
+    return transfer.investment_lanes(np.array(span), np.array(j_min)[:, None], -1.0, (0.0, 1.0))
 
 
 class TestInvestmentLanes:
@@ -327,44 +356,42 @@ class TestInvestmentLanes:
         settled = ([0.0, 0.0], 0.0)  # all levels tied: the first step is exactly 0
         unsettled = ([2.0, 0.0], -1.0)  # the q = 2 root near 1.37 takes several steps
         overflow = ([0.0, 0.0], -math.inf)
-        levels = (0.0, 1.0)
-
-        def solve(*lanes):
-            span, j_min = zip(*lanes)
-            return transfer.investment_lanes(np.array(span), np.array(j_min)[:, None], -1.0, levels)
-
         with pytest.raises(ConvergenceError) as info:
-            solve(settled, unsettled, overflow)
+            solve_at_beta_one(settled, unsettled, overflow)
         assert info.value.lane == 1
         assert info.value.residual > 0.0
         with pytest.raises(ValueError, match="overflow") as info:
-            solve(settled, overflow, unsettled)
+            solve_at_beta_one(settled, overflow, unsettled)
         assert info.value.lane == 1
 
     def test_nan_step_keeps_its_lane_moving(self, monkeypatch):
         # A nan start in lane 1 (of 3) makes its steps, and so its mu, nan.
         # A nan step is not a settled one: the lane must run out of steps
         # and raise, not leave the loop with l = nan.
-        secular_start, calls = transfer._secular_start, []
-
-        class Counted(np.ndarray):
-            # Starts that count the Newton steps added to them.
-            def __iadd__(self, step):
-                calls.append(len(step))
-                return super().__iadd__(step)
-
-        def poisoned(*args):
-            delta, mu, finite = secular_start(*args)
-            mu[1] = math.nan
-            return delta, mu.view(Counted), finite
-
-        monkeypatch.setattr(transfer, "_secular_start", poisoned)
+        calls = count_steps(monkeypatch, nan_lane=1)
         span = np.array([[2.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ConvergenceError) as info:
             transfer.investment_lanes(span, -np.ones((3, 1)), -1.0, (0.0, 1.0))
         assert info.value.lane == 1
         assert math.isnan(info.value.residual)
         assert len(calls) >= transfer._NEWTON_CAP
+
+    def test_an_overflowing_lane_does_not_hold_the_block(self, monkeypatch):
+        # An overflowing lane's steps are nan, and a nan step keeps a finite
+        # lane moving; the overflow verdict must still settle it, so the
+        # block stops when its unsettled lane does, and then raises for the
+        # overflow.
+        calls = count_steps(monkeypatch)
+        overflow = ([0.0, 0.0], -math.inf)
+        unsettled = ([2.0, 0.0], -1.0)
+        solve_at_beta_one(unsettled)
+        alone = len(calls)
+        assert alone == 4
+        calls.clear()
+        with pytest.raises(ValueError, match="overflow") as info:
+            solve_at_beta_one(overflow, unsettled)
+        assert info.value.lane == 0
+        assert len(calls) == alone
 
 
 def rank_one(p):
@@ -691,9 +718,9 @@ class TestLogPartitionFunction:
             top = math.exp(z_max)
             delta = transfer._gaps(g, m, p.beta, top)
             nu0 = transfer._lower_bound(delta, c, top)
-            _, root, _ = transfer._weighted_root(nu0, top, delta, c)
+            _, root, _, _, _ = transfer._weighted_root(nu0, top, delta, c)
             start = (top + root) * (1.0 + 4.0 * EPS * (1.0 + abs(t))) - top
-            _, nu, steps = transfer._weighted_root(start, top, delta, c)
+            _, nu, steps, _, _ = transfer._weighted_root(start, top, delta, c)
         assert start > root
         assert steps == 1
         assert nu <= start
