@@ -29,7 +29,9 @@ and judged: a point overflows only where -beta J_min or a gap exponent
 range is 0.  Its Newton start is a Jensen bound on the root.  Both solves
 end alike: the Newton pass that proves the root hands back v_a^2 and
 sum_a v_a^2, with v the raw secular weights, unnormalised, so l, which
-divides by sum_a v_a^2 anyway, evaluates nothing again; only
+divides by sum_a v_a^2 anyway, evaluates nothing again (the weighted
+solve takes one more pass only after a step down from a start above the
+root); only
 :func:`dominant_eigenvalue`, which returns v, scales it to unit length,
 from the same pair.  Every sum in these O(q) solves
 is a numpy reduction, not a BLAS call, so the BLAS kernel decides none of
@@ -95,6 +97,13 @@ class ConvergenceError(RuntimeError):
 
 _OVERFLOW = "transfer-matrix exponents overflow; reduce beta*J or beta*D"
 
+# Largest scale exponent of the zero-bias gaps; exp of it is finite.  A lane
+# past it has J_min < 0, so an untied gap exponent, at least beta ulp(J_min)
+# in size, is above 709 * 2^-53, and its gap, clamped, above about 6e294:
+# the secular term, below 1e-294, leaves every sum as an exact gap would.  A
+# 0-d array, as a Python float costs a scalar conversion on every call.
+_SCALE_CAP = np.array(709.0)
+
 
 def _require_finite(x: np.ndarray) -> None:
     if not np.logical_and.reduce(np.isfinite(x)):
@@ -115,30 +124,28 @@ def _secular_start(j_span, j_min, neg_beta) -> tuple[np.ndarray, np.ndarray, np.
 
     The zero-bias exponents are x_max + dx, with scale x_max = -beta J_min
     and gap exponents dx = -beta (J - J_min) <= 0, formed here and nowhere
-    else; dx keeps the split of a near-tie.  Delta_a = exp(x_max +
-    log(-expm1(dx_a))), formed in place in dx, C-ordered whatever layout
-    the inputs have, is 0 on tied levels and inf where it overflows.  The
-    start is mu_0 = max(1, q - mean_a Delta_a), a lower bound on the root
-    by Jensen's inequality, sum_a 1 / (mu + Delta_a) >= q / (mu + mean
-    Delta), and by the zero gap of the J_min level; the mean sums each
-    lane's contiguous row as a single point's vector is summed.  A lane is
-    finite, the one overflow verdict, when x_max and every dx_a are, which
-    the largest span decides, as spans are >= 0 and never nan: a diagonal
-    exponent x_max + dx_a below the double range is an entry of 0 and does
-    not count.  The arguments broadcast, levels on the last axis: a point
-    passes J - J_min, a 1-element J_min and a float -beta; a block of lanes
-    a (seeds, 1, q) span, a (seeds, 1, 1) J_min and a (betas, 1) column of
-    -beta.  Starts and verdicts keep a last axis of length 1.
+    else; dx keeps the split of a near-tie.  Delta_a = -exp(x_max)
+    expm1(dx_a), formed in place in dx as :func:`_gaps` forms the biased
+    gaps, C-ordered whatever layout the inputs have, is 0 on tied levels;
+    x_max is clamped at ``_SCALE_CAP``, so no gap overflows and no lane
+    holds a nan.  The start is mu_0 = max(1, q - mean_a Delta_a), a lower
+    bound on the root by Jensen's inequality, sum_a 1 / (mu + Delta_a) >= q
+    / (mu + mean Delta), and by the zero gap of the J_min level; the mean
+    sums each lane's contiguous row as a single point's vector is summed.  A
+    lane is finite, the one overflow verdict, when x_max and every dx_a are,
+    which the largest span decides, as spans are >= 0 and never nan: a
+    diagonal exponent x_max + dx_a below the double range is an entry of 0
+    and does not count.  The arguments broadcast, levels on the last axis: a
+    point passes J - J_min, a 1-element J_min and a float -beta; a block of
+    lanes a (seeds, 1, q) span, a (seeds, 1, 1) J_min and a (betas, 1)
+    column of -beta.  Starts and verdicts keep a last axis of length 1.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         x_max = neg_beta * j_min
         finite = np.isfinite(neg_beta * np.maximum.reduce(j_span, axis=-1, keepdims=True))
         finite &= np.isfinite(x_max)
         delta = np.multiply(neg_beta, j_span, order="C")
-        np.expm1(delta, out=delta)
-        np.negative(delta, out=delta)
-        np.log(delta, out=delta)
-        np.exp(np.add(delta, x_max, out=delta), out=delta)
+        np.multiply(np.expm1(delta, out=delta), -np.exp(np.minimum(x_max, _SCALE_CAP)), out=delta)
         q = delta.shape[-1]
         mu = np.maximum(q - np.add.reduce(delta, axis=-1, keepdims=True) / q, 1.0)
     return delta, mu, finite
@@ -193,15 +200,16 @@ def _rank_one(
     return t, float(z[m]), g, m, c, z, u
 
 
-def _gaps(g: np.ndarray, m: int, beta: float, top: float) -> np.ndarray:
-    """The gaps Delta_a = exp(z_max) (1 - exp(dz_a)) of :func:`_rank_one`'s g and m, in place in g.
+def _gaps(g: np.ndarray, m: int, beta: float, z_max: float) -> tuple[float, np.ndarray]:
+    """top = exp(z_max) and the gaps Delta_a = top (1 - exp(dz_a)) of :func:`_rank_one`'s g and m.
 
-    top = exp(z_max) <= 1, so no gap overflows, and a gap is 0 exactly where
-    g_a = g_m.
+    The gaps are formed in place in g.  top <= 1, so no gap overflows, and a
+    gap is 0 exactly where g_a = g_m.
     """
+    top = math.exp(z_max)
     g -= g[m]
     g *= -beta
-    return np.multiply(np.expm1(g, out=g), -top, out=g)
+    return top, np.multiply(np.expm1(g, out=g), -top, out=g)
 
 
 def _secular_root(j_span, j_min, neg_beta) -> tuple[np.ndarray, float]:
@@ -211,19 +219,20 @@ def _secular_root(j_span, j_min, neg_beta) -> tuple[np.ndarray, float]:
     overflow verdict of :func:`_secular_start` on its arguments, with every
     s_a = 1, written for mu = nu + 1: mu is the root in [1, q], the start
     is the Jensen bound, and the dominant eigenvector is v = w,
-    unnormalised; a gap that overflows to inf drops out.  A point that is
-    not finite raises ValueError.  Newton runs on the reciprocal h(mu) = 1
-    / S1 with S1 = sum_a w_a, whose root h = 1 is the same (Moré &
-    Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): the step is (S1 - 1) S1
-    / S2.  h is a scaled harmonic mean of the denominators, so it is
-    concave and increasing, and Newton from a start where h <= 1 increases
-    monotonically to the root without overshooting; being nearly linear it
-    needs only a few steps.  The pass whose step is at most 1e-14 mu proves
-    convergence and ends the solve without adding that step, so l reads
-    its w^2 and S2 and nothing is evaluated again; a start that rounding
-    puts a few ulps above the root takes a step below 0 and ends there.
-    Raises :class:`ConvergenceError` if it has not settled within a fixed
-    step cap.
+    unnormalised; a gap formed at the clamped scale adds a term below
+    1e-294, which no sum keeps.  A point that is not finite raises
+    ValueError.  Newton runs on the reciprocal h(mu) = 1 / S1 with S1 =
+    sum_a w_a, whose root h = 1 is the same (Moré & Sorensen, SIAM J. Sci.
+    Stat. Comput. 4, 1983): the step is (S1 - 1) S1 / S2.  h is a scaled
+    harmonic mean of the denominators, so it is concave and increasing, and
+    Newton from a start where h <= 1 increases monotonically to the root
+    without overshooting; being nearly linear it needs only a few steps.
+    The pass whose step is at most 1e-14 mu proves convergence and ends the
+    solve without adding that step, so l reads its w^2 and S2 and nothing
+    is evaluated again; a start that rounding puts a few ulps above the
+    root takes a step below 0 and ends there.  Raises
+    :class:`ConvergenceError` if it has not settled within a fixed step
+    cap.
     """
     delta, mu, finite = _secular_start(j_span, j_min, neg_beta)
     if not finite[0]:
@@ -279,17 +288,21 @@ def _weighted_root(
     far above nu + Delta_m; S1 - 1 therefore takes the largest term as c_m
     w_m - 1 = -(nu + Delta_m) w_m, which cancels nothing.  From a start
     where the sum is at least 1 the steps climb to the root without
-    overshooting; a start that rounding puts a few ulps above it takes one
-    step down, which ends the loop.  The step that ends the loop is still
-    added to nu, but v^2 = c w^2, the unnormalised dominant eigenvector
-    v_a = s_a w_a squared, and S2 are those of the pass that proved the
-    root, so nothing is evaluated again.  :func:`_biased_pair` starts from
-    :func:`_lower_bound` and settled in 3-7 steps on draws shaped like the
-    ``finite_ring`` benchmark; the shortcut of :func:`log_partition_function`
-    starts from L - top, with L its Rayleigh floor, where every denominator
-    is L - e_a > 0, and settled in 2-6 (a mean of 2.6 at seeds 1-3, against
-    3.96 from the 2 x 2 start).  lambda_1 is at least every diagonal entry,
-    so a root that rounding puts below 0 is 0.
+    overshooting; a start that rounding puts above it (by up to 4.5e-13
+    relative, for the 2 x 2 start) takes one step down, which ends the
+    loop.  The step that ends the loop is still added to nu, but v^2 = c
+    w^2, the unnormalised dominant eigenvector v_a = s_a w_a squared, and
+    S2 are those of the pass that proved the root, so nothing is evaluated
+    again.  A step down of more than 1e-14 nu shows that pass was the
+    start's, not the root's, so one more pass forms them at the final nu;
+    a smaller one, as rounding leaves at the end of a climb, does not.
+    :func:`_biased_pair` starts from :func:`_lower_bound` and settled in
+    3-7 steps on draws shaped like the ``finite_ring`` benchmark; the
+    shortcut of :func:`log_partition_function` starts from L - top, with L
+    its Rayleigh floor, where every denominator is L - e_a > 0, and
+    settled in 2-6 (a mean of 2.6 at seeds 1-3, against 3.96 from the 2 x
+    2 start).  lambda_1 is at least every diagonal entry, so a root that
+    rounding puts below 0 is 0.
     """
     gap = delta + c
     w, cw, cww = work = np.empty((3, len(gap)))
@@ -301,14 +314,17 @@ def _weighted_root(
         m = int(cw.argmax())
         cw[m] = -(nu + delta[m]) * w[m]
         excess, s2 = np.add.reduce(pair, axis=-1).tolist()
-        s1 = excess + 1.0
-        step = excess * s1 / s2
+        step = excess * (excess + 1.0) / s2
         nu += step
         if step <= _NEWTON_RTOL * nu:
             break
     else:
         raise _unsettled(step)
     nu = max(nu, 0.0)
+    if step < -_NEWTON_RTOL * nu:
+        w = 1.0 / (gap + nu)
+        cww = c * w * w
+        s2 = float(np.add.reduce(cww))
     return math.log(top + nu), nu, steps, cww, s2
 
 
@@ -323,8 +339,7 @@ def _biased_pair(
     with np.errstate(over="ignore", invalid="ignore"):
         t, z_max, g, m, c, _, _ = _rank_one(j, lev, beta, field)
         _require_finite(c)
-        top = math.exp(z_max)
-        delta = _gaps(g, m, beta, top)
+        top, delta = _gaps(g, m, beta, z_max)
         log_top, _, _, v2, s2 = _weighted_root(_lower_bound(delta, c, top), top, delta, c)
     return t + log_top, v2, s2
 
@@ -351,16 +366,17 @@ def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
     same gaps and start: Newton steps on the concave reciprocal 1 / sum_a
     w_a, under the same cap, and a lane stops, without adding it, at the
     first step of at most 1e-14 mu.  Every step runs on the whole block,
-    with the steps of settled and of overflowing lanes set to 0; a settled
-    lane recomputes the same pass from its unchanged mu, so it takes
-    exactly the steps it would take alone, and the last pass holds every
-    lane's w^2 and S2 = sum_a w_a^2 as they were in the pass that settled
-    it.  Then l = sum_a d_a w_a^2 / S2, clamped to [d_0, d_{q-1}].  The
-    terms of every sum over levels sit in one contiguous row per lane of a
-    C-ordered work buffer, whatever layout the inputs have, and numpy sums
-    each row with the pairwise loop it runs on a single vector: each lane's
-    bits are those of the single solve, alone, in any block and in any
-    memory layout.
+    with the steps of settled lanes set to 0; an overflowing lane's gaps
+    are finite too, so it settles as any lane does and fails only after
+    the loop.  A settled lane recomputes the same pass from its unchanged
+    mu, so it takes exactly the steps it would take alone, and the last
+    pass holds every lane's w^2 and S2 = sum_a w_a^2 as they were in the
+    pass that settled it.  Then l = sum_a d_a w_a^2 / S2, clamped to [d_0,
+    d_{q-1}].  The terms of every sum over levels sit in one contiguous row
+    per lane of a C-ordered work buffer, whatever layout the inputs have,
+    and numpy sums each row with the pairwise loop it runs on a single
+    vector: each lane's bits are those of the single solve, alone, in any
+    block and in any memory layout.
 
     A lane that is not finite raises ValueError, and a lane whose last
     step is not 0, a nan step included, raises :class:`ConvergenceError`;
@@ -376,7 +392,7 @@ def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
         np.multiply(w, w, out=ww)
         s1, s2 = np.add.reduce(pair, axis=-1, keepdims=True)
         step = (s1 - 1.0) * s1 / s2
-        np.copyto(step, 0.0, where=(step <= _NEWTON_RTOL * mu) | ~finite)
+        np.copyto(step, 0.0, where=step <= _NEWTON_RTOL * mu)
         if not np.logical_or.reduce(step, axis=None):
             break
         mu += step
@@ -464,8 +480,7 @@ def log_partition_function(params: ModelParams, n_sites: int) -> float:
         floor = _lambda1_floor(diag, c)
         log_ratio = math.log(bound) - math.log(floor) if bound else -math.inf
         if math.log(params.q - 1) + n_sites * log_ratio < _LOG_NEGLIGIBLE:
-            top = math.exp(z_max)
-            delta = _gaps(g, m, params.beta, top)
+            top, delta = _gaps(g, m, params.beta, z_max)
             return n_sites * (t + _weighted_root(floor - top, top, delta, c)[0])
         # The diagonal of the outer sum is u_a, which can overflow exp
         # where the diagonal exponent z_a does not; it is overwritten.

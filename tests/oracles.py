@@ -3,7 +3,8 @@
 Each is written for reading, not speed, and shares no code with the
 package beyond the parameter types: the energy of one configuration, the
 dense transfer matrix, the pinned random generator, the secular equation
-in decimal arithmetic, and a second enumeration of the Gibbs average.
+and its zero-bias gaps in decimal arithmetic, and a second enumeration of
+the Gibbs average.
 """
 
 import functools
@@ -141,6 +142,18 @@ def secular_oracle(params):
             raise AssertionError("decimal Newton did not settle")
         weights = [ca / (nu + da) ** 2 for ca, da in zip(c, delta)]
         return float(sum(d * wa for d, wa in zip(levels, weights)) / sum(weights))
+
+
+def zero_bias_gap(x_max, dx):
+    """exp(x_max) (1 - exp(dx)), a zero-bias secular gap, in 60-digit decimal arithmetic.
+
+    x_max and dx are floats, converted to Decimal exactly, and the result
+    is returned as a Decimal, so a test can measure a float gap's error in
+    ulps of the exact value.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(x_max).exp() * (1 - Decimal(dx).exp())
 
 
 def reference_expected_investment(params, n):

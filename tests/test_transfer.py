@@ -19,7 +19,7 @@ from pottsinvest import (
     per_capita_investment,
     transfer,
 )
-from oracles import dense_matrix
+from oracles import dense_matrix, zero_bias_gap
 
 
 def params_for(q, beta, couplings, field=0.0):
@@ -236,7 +236,7 @@ class TestDominantEigenvalue:
         p = params_for(2, 75.21085970476601, (-2.0, -3.0), field=1.0)
         _, z_max, g, m, *_ = rank_one(p)
         assert z_max == 0.0
-        assert np.array_equal(transfer._gaps(g, m, p.beta, 1.0), [0.0, 0.0])
+        assert transfer._gaps(g, m, p.beta, z_max)[1].tolist() == [0.0, 0.0]
 
 
 def decimal_unit_root(delta):
@@ -285,6 +285,19 @@ class TestSecularStart:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transfer, "_NEWTON_CAP", 8)
             transfer._secular_root(j - j_min, j_min, neg_beta)
+
+    @pytest.mark.parametrize("x_max", [-300.0, 0.0, 50.0, 300.0, 700.0])
+    def test_gaps_are_within_two_ulps(self, x_max):
+        # At beta = 1 the scale is -J_min and the gap exponents -span, both
+        # exact, so each gap's error is the start's own: one expm1, one exp
+        # and one product.  |dx| is log-uniform on [1e-14, 300].
+        rng = random.Random(int(x_max))
+        span = np.array([10.0 ** rng.uniform(-14.0, math.log10(300.0)) for _ in range(400)])
+        delta, _, finite = transfer._secular_start(span, np.array([-x_max]), -1.0)
+        assert finite[0]
+        for dx, gap in zip(-span, delta.tolist()):
+            want = zero_bias_gap(x_max, dx)
+            assert abs(Decimal(gap) - want) <= 2 * Decimal(math.ulp(float(want))), (dx, gap)
 
 
 def count_steps(monkeypatch, nan_lane=None):
@@ -377,10 +390,9 @@ class TestInvestmentLanes:
         assert len(calls) >= transfer._NEWTON_CAP
 
     def test_an_overflowing_lane_does_not_hold_the_block(self, monkeypatch):
-        # An overflowing lane's steps are nan, and a nan step keeps a finite
-        # lane moving; the overflow verdict must still settle it, so the
-        # block stops when its unsettled lane does, and then raises for the
-        # overflow.
+        # An overflowing lane's gaps are formed at the clamped scale, so its
+        # steps are finite and it settles as any lane does: the block stops
+        # when its unsettled lane does, and then raises for the overflow.
         calls = count_steps(monkeypatch)
         overflow = ([0.0, 0.0], -math.inf)
         unsettled = ([2.0, 0.0], -1.0)
@@ -392,6 +404,44 @@ class TestInvestmentLanes:
             solve_at_beta_one(overflow, unsettled)
         assert info.value.lane == 0
         assert len(calls) == alone
+
+    def test_lanes_past_the_clamped_scale(self, monkeypatch):
+        # Lanes with -beta J_min past 709, where the gaps are formed at the
+        # clamped scale, one lane where -beta J_min is inf, and ordinary
+        # lanes, one beta per lane.  At (-1, -1 + 1.4e-13, 0, 2) and beta =
+        # 720 the near-tied gap, e^720 * 1e-10, is finite; clamped it is
+        # e^709 * 1e-10, and either way its term leaves no trace.
+        rng = np.random.default_rng(35)
+        ordinary = [(list(rng.uniform(-2.0, 2.0, 4)), rng.uniform(0.1, 10.0)) for _ in range(3)]
+        clamped = [
+            ([-1.0, -1.0 + 1.4e-13, 0.0, 2.0], 720.0),
+            ([0.5, -2.0, -2.0, 1.0], 500.0),
+            ([-3.0, 0.0, -2.9, 1.0], 1000.0),
+        ]
+        overflow = ([-1e308, 0.0, 1.0, 2.0], 2.0)
+        lanes = ordinary[:2] + clamped[:2] + [overflow] + clamped[2:] + ordinary[2:]
+
+        def block(lanes):
+            j = np.array([couplings for couplings, _ in lanes])
+            j_min = j.min(axis=1, keepdims=True)
+            neg_beta = -np.array([[beta] for _, beta in lanes])
+            return transfer.investment_lanes(j - j_min, j_min, neg_beta, (0.0, 1.0, 2.0, 3.0))
+
+        finite = [lane for lane in lanes if lane is not overflow]
+        points = [per_capita_investment(params_for(4, b, j)) for j, b in finite]
+        assert block(finite).tolist() == points
+        assert points[2:5] == [0.0, 1.5, 0.0]
+        calls = count_steps(monkeypatch)
+        slowest = 0
+        for lane in finite:
+            calls.clear()
+            block([lane])
+            slowest = max(slowest, len(calls))
+        calls.clear()
+        with pytest.raises(ValueError, match="overflow") as info:
+            block(lanes)
+        assert info.value.lane == lanes.index(overflow)
+        assert len(calls) <= slowest
 
 
 def rank_one(p):
@@ -715,8 +765,7 @@ class TestLogPartitionFunction:
         p = params_for(len(couplings), beta, couplings, field=field)
         with np.errstate(over="ignore", invalid="ignore"):
             t, z_max, g, m, c, _, _ = rank_one(p)
-            top = math.exp(z_max)
-            delta = transfer._gaps(g, m, p.beta, top)
+            top, delta = transfer._gaps(g, m, p.beta, z_max)
             nu0 = transfer._lower_bound(delta, c, top)
             _, root, _, _, _ = transfer._weighted_root(nu0, top, delta, c)
             start = (top + root) * (1.0 + 4.0 * EPS * (1.0 + abs(t))) - top
