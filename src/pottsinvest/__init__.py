@@ -3,9 +3,9 @@
 The model couples neighbouring agents on a ring through per-level
 interaction strengths and an external bias; the package computes the
 expected investment per agent as a function of the control parameter beta,
-in closed form for q = 2 and the integrable q = 3 cases, and for any q from
-the dominant eigenvector of the transfer matrix, which solves a scalar
-secular equation, through the Hellmann-Feynman identity
+in closed form wherever the couplings take at most two values, and for any
+couplings from the dominant eigenvector of the transfer matrix, which
+solves a scalar secular equation, through the Hellmann-Feynman identity
 l = sum_a d_a v_a^2.  The paper's finite-difference route stays available
 as a cross-check through an explicit ``StencilConfig``.
 """

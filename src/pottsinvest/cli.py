@@ -3,10 +3,11 @@
 One command, two modes.  The default mode sweeps l(beta) over a grid and
 writes CSV rows ``beta,l`` (or ``beta,l,seed`` for random-profile
 ensembles, where the pointwise mean series is tagged ``seed=mean``).  With
-``--compare`` the numeric curve is evaluated against the matching exact
-closed form (q = 2, or the three integrable q = 3 coupling patterns) and
-the per-point absolute error is emitted instead.  Every l(beta) comes from
-the exact secular equation: a single curve's points from
+``--compare`` the numeric curve is evaluated against the exact closed form
+of :mod:`.closedform`'s two-class law, which covers any q whose couplings
+take at most two distinct values, and the per-point absolute error is
+emitted instead.  Every numeric l(beta) comes from the exact secular
+equation: a single curve's points from
 :func:`.derivatives.sweep_curve`, bit for bit
 :func:`.derivatives.per_capita_investment`, and an ensemble's from the
 batched lanes of :func:`.transfer.investment_lanes`, the same bits again;
@@ -21,9 +22,9 @@ front of the command line, so flags override the file.  Floats are written
 with repr, which round-trips exactly.  Exit codes: 0 success, 2
 configuration error, 3 numerical failure (the message names the beta and,
 for ensembles, the seed).  The CLI checks only the rules of its own flags;
-the library checks the rest (coupling count and finiteness, and a grid
-whose points round to equal values), and its ValueError is a configuration
-error too.
+the library checks the rest (coupling count and finiteness, a grid whose
+points round to equal values, and in compare mode couplings with three or
+more distinct values), and its ValueError is a configuration error too.
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ import sys
 
 import numpy as np
 
-from .closedform import (
-    classify_limits,
-    investment_q2,
-    investment_q3_case1,
-    investment_q3_case2,
-    investment_q3_case3,
-)
+from .closedform import _two_class_curve, classify_limits
 from .derivatives import SweepError, sweep_curve
 from .model import ModelParams
 from .profiles import ProfileSpec, _ensemble_values, _member_params, make_profile
@@ -286,22 +281,12 @@ def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> list[str]:
 
 
 def _closed_form_for(params: ModelParams):
-    """Pick the exact curve matching (q, couplings), or explain why none does."""
-    j = params.couplings.values
-    if params.q == 2:
-        return lambda beta: investment_q2(beta, j[0], j[1])
-    if params.q == 3:
-        if j[0] == 0.0 and j[1] == 0.0:
-            return lambda beta: investment_q3_case1(beta, j[2])
-        if j[0] == 0.0 and j[2] == 0.0:
-            return lambda beta: investment_q3_case2(beta, j[1])
-        if j[1] == 0.0 and j[2] == 0.0:
-            return lambda beta: investment_q3_case3(beta, j[0])
-        raise ConfigError(
-            "no closed form for these q=3 couplings; exactly one of "
-            "(0,0,J), (0,J,0), (J,0,0) is integrable"
-        )
-    raise ConfigError("compare mode supports q=2 (any couplings) and the integrable q=3 cases")
+    """The exact curve beta -> l of the run's couplings, from the two-class law.
+
+    Any q whose couplings take at most two distinct values has one; three
+    or more raise ValueError ("no closed form"), a configuration error.
+    """
+    return _two_class_curve(params.levels, params.couplings.values)
 
 
 def _run_compare(args: argparse.Namespace, grid: list[float]) -> list[str]:

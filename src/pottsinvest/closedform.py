@@ -1,22 +1,31 @@
-"""Closed-form per-capita investment curves for the integrable small-q cases.
+"""Closed-form per-capita investment curves: one two-class law for any q.
 
-For q = 2 (levels 0, 1) and three coupling patterns at q = 3 the dominant
-transfer-matrix eigenvalue is an explicit radical, so the investment curve
+At zero bias the transfer matrix is diag(c) + 1 1^T with
+c_a = exp(-beta J(a)) - 1, and the dominant eigenvector is
+v_a proportional to 1 / (mu + Delta_a), with mu the root of the secular
+equation sum_a 1 / (mu + Delta_a) = 1 (:mod:`.transfer`).  When the
+couplings take two values, J_A on a set A of k levels and J_B > J_A on the
+other q - k, every gap is 0 on A and
 
-    l(beta) = -(1 / beta) * (d lambda_1 / dD) / lambda_1   at D = 0
+    Delta = exp(-beta J_A) (1 - exp(-beta (J_B - J_A)))
 
-has an exact expression.  Each formula below is evaluated in exp(-beta J)
-and 1, both divided by m = max(exp(-beta J), 1), the scaling that
-:func:`investment_q2` applies to its two couplings.  The scaled values lie
-in [0, 1] and are formed from their exponents, so none overflows whatever
-the sign of J, and one expression covers both signs.  That scaling is also
-the one place the curves check their inputs: beta finite and
-non-negative, each coupling finite.
+on the rest, so the secular equation k / mu + (q - k) / (mu + Delta) = 1 is
+the quadratic mu^2 + (Delta - q) mu - k Delta = 0, and by Hellmann-Feynman
+
+    l = (S_A (mu + Delta)^2 + S_B mu^2) / (k (mu + Delta)^2 + (q - k) mu^2)
+
+with S_A and S_B the (fsum) level sums of A and of the rest.  A single
+class, or Delta = 0, gives the plain level mean.  The root is taken in its
+stable form, in units of Delta once Delta passes q, so nothing cancels or
+overflows.  The paper's q = 2 curve and its three integrable q = 3 patterns
+are instances, and so is every beta -> infinity endpoint: there each gap
+tends to infinity, 1 or 0 by the sign of the coupling minimum, which makes
+A the levels attaining it.  The curves check their inputs: beta finite and
+non-negative, each coupling finite, and at most two distinct values.
 
 The large-beta endpoints of the two non-trivial q = 3 curves are exposed as
-exact constants rather than numerical limits, and
-:func:`investment_at_beta_infinity` gives the large-beta endpoint of any
-coupling vector.
+exact constants, and :func:`investment_at_beta_infinity` gives the
+large-beta endpoint of any coupling vector.
 """
 
 from __future__ import annotations
@@ -47,88 +56,109 @@ Q3_CASE1_POSITIVE_J_LIMIT = (1.0 + SQRT12) / (2.0 + SQRT12)
 Q3_CASE3_POSITIVE_J_LIMIT = (3.0 + SQRT12) / (2.0 + SQRT12)
 
 
-def _scaled(beta: float, *couplings: float) -> list[float]:
-    """exp(-beta J) for each coupling, then 1, each divided by m, the largest of them.
+def _law(levels, on_a):
+    """The two-class law for the levels in A (``on_a`` true) and the rest.
 
-    Formed from the exponents, so every value lies in [0, 1] and none
-    overflows; the largest is exactly 1, even when beta J overflows.  The
-    one check of every closed form's inputs: beta must be finite and
-    non-negative, and each coupling finite, else ValueError.
+    Returns law(delta), l at the gap Delta = delta in [0, q], and
+    law(w, inverse=True), l at Delta = 1 / w >= q, where w = 0 is
+    Delta = infinity.  The first solves mu^2 + (Delta - q) mu - k Delta = 0;
+    the second the same quadratic in units of Delta, m^2 + (1 - q w) m - k w
+    = 0 with m = mu / Delta, from the root's form that does not cancel.
+    Both weigh the two level sums by (mu + Delta)^2 and mu^2, and clamp to
+    the two class means, between which l lies.
     """
-    beta = float(beta)
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError("beta must be finite and non-negative")
-    couplings = [float(j) for j in couplings]
-    if not all(math.isfinite(j) for j in couplings):
+    q, k = len(levels), on_a.count(True)
+    s_a = math.fsum(d for d, a in zip(levels, on_a) if a)
+    s_b = math.fsum(d for d, a in zip(levels, on_a) if not a)
+    mean = math.fsum(levels) / q
+    lo, hi = sorted((s_a / k, s_b / (q - k))) if k < q else (mean, mean)
+
+    def law(delta: float, inverse: bool = False) -> float:
+        if inverse:
+            h = 1.0 - q * delta
+            mu = 2.0 * k * delta / (h + math.sqrt(h * h + 4.0 * k * delta))
+            nu = mu + 1.0
+        elif delta:
+            b = q - delta
+            mu = 0.5 * (b + math.sqrt(b * b + 4.0 * k * delta))
+            nu = mu + delta
+        else:
+            return mean
+        on, off = nu * nu, mu * mu
+        return min(hi, max(lo, (s_a * on + s_b * off) / (k * on + (q - k) * off)))
+
+    return law
+
+
+def _two_class_curve(levels, couplings):
+    """beta -> l(beta) at zero bias for couplings taking at most two values, any q.
+
+    Three or more distinct values, a non-finite coupling or a coupling
+    spread J_B - J_A that overflows raise ValueError; so does a beta that is
+    not finite and non-negative, at each call.
+    """
+    j = [float(v) for v in couplings]
+    if not all(map(math.isfinite, j)):
         raise ValueError("coupling must be finite")
-    logs = [-beta * j for j in couplings] + [0.0]
-    top = max(logs)
-    return [math.exp(v - top) if v < top else 1.0 for v in logs]
+    values = sorted(set(j))
+    if len(values) > 2:
+        raise ValueError(
+            f"no closed form for couplings with {len(values)} distinct values; "
+            "the two-class law needs at most two"
+        )
+    j_a, spread = values[0], values[-1] - values[0]
+    if not math.isfinite(spread):
+        raise ValueError("coupling spread J_max - J_min overflows")
+    law, q = _law(levels, [v == j_a for v in j]), len(j)
+
+    def curve(beta: float) -> float:
+        if not 0.0 <= beta < math.inf:
+            raise ValueError("beta must be finite and non-negative")
+        x = -beta * j_a
+        e = -math.expm1(-beta * spread)
+        # Past x = 709 exp(x) overflows; there the spread is at least
+        # 2^-54 |J_A|, so e > 3e-14 and Delta > q: the clamp only picks the branch.
+        delta = math.exp(min(x, 709.0)) * e
+        if delta <= q:
+            return law(delta)
+        return law(math.exp(-x) / e, inverse=True)
+
+    return curve
 
 
 def investment_q2(beta: float, j0: float, j1: float) -> float:
     """Exact q = 2 curve for arbitrary couplings (j0, j1), levels (0, 1).
 
-    With u = exp(-beta j0), v = exp(-beta j1) and Theta = (u - v)^2 + 4:
-
-        l = [v + (2 + v^2 - u v) / sqrt(Theta)] / [u + v + sqrt(Theta)]
-
-    evaluated after dividing through by m = max(u, v, 1) so no intermediate
-    exceeds exp(beta * max(|j0|, |j1|)).  Equal couplings give exactly 1/2
-    at every beta: u = v reduces l to that, and is returned as such, since
-    once beta |j0| passes about 745 the scaled 1 / m underflows and Theta
-    with it.  The value always lies in [0, 1].
+    The two-class law with k = 1.  Equal couplings give exactly 1/2 at every
+    beta, and the value always lies in [0, 1].
     """
-    a, b, inv_m = _scaled(beta, j0, j1)
-    if a == b:
-        return 0.5
-    r = math.hypot(a - b, 2.0 * inv_m)
-    num = b + (b * (b - a) + 2.0 * inv_m * inv_m) / r
-    den = a + b + r
-    return min(1.0, max(0.0, num / den))
+    return _two_class_curve((0.0, 1.0), (j0, j1))(beta)
 
 
 def investment_q3_case1(beta: float, j: float) -> float:
     """Exact q = 3 curve for couplings (0, 0, j): only top-level agreement interacts.
 
-    With x = exp(-beta j):
-
-        l = [1 + 2x + (12 - 5x + 2x^2) / sqrt(12 - 4x + x^2)]
-            / [2 + x + sqrt(12 - 4x + x^2)]
-
-    evaluated in a = x / m and i = 1 / m with m = max(x, 1), as
-    [i + 2a + (12i^2 - 5ai + 2a^2) / r] / [2i + a + r] with
-    r = sqrt(12i^2 - 4ai + a^2).  Starts at 1, tends to 2 for j < 0 and to
-    (1 + sqrt 12) / (2 + sqrt 12) for j > 0.  The value always lies in [0, 2].
+    Starts at 1, tends to 2 for j < 0 and to (1 + sqrt 12) / (2 + sqrt 12)
+    for j > 0.  The value always lies in [0, 2].
     """
-    a, i = _scaled(beta, j)
-    root = math.sqrt(12.0 * i * i - 4.0 * a * i + a * a)
-    num = i + 2.0 * a + (12.0 * i * i - 5.0 * a * i + 2.0 * a * a) / root
-    return min(2.0, max(0.0, num / (2.0 * i + a + root)))
+    return _two_class_curve((0.0, 1.0, 2.0), (0.0, 0.0, j))(beta)
 
 
 def investment_q3_case2(beta: float, j: float) -> float:
-    """Exact q = 3 curve for couplings (0, j, 0): identically 1 for every beta and j."""
-    _scaled(beta, j)
-    return 1.0
+    """Exact q = 3 curve for couplings (0, j, 0): identically 1 for every beta and j.
+
+    Both classes have level mean 1, so the law's clamp pins it there.
+    """
+    return _two_class_curve((0.0, 1.0, 2.0), (0.0, j, 0.0))(beta)
 
 
 def investment_q3_case3(beta: float, j: float) -> float:
     """Exact q = 3 curve for couplings (j, 0, 0): only bottom-level agreement interacts.
 
-    With x = exp(-beta j):
-
-        l = [3 + (12 - 3x) / sqrt(12 - 4x + x^2)] / [x + 2 + sqrt(12 - 4x + x^2)]
-
-    evaluated in a = x / m and i = 1 / m with m = max(x, 1), as
-    i [3 + (12i - 3a) / r] / [a + 2i + r] with r = sqrt(12i^2 - 4ai + a^2).
     Starts at 1, tends to 0 for j < 0 and to (3 + sqrt 12) / (2 + sqrt 12)
     for j > 0.  The value always lies in [0, 2].
     """
-    a, i = _scaled(beta, j)
-    root = math.sqrt(12.0 * i * i - 4.0 * a * i + a * a)
-    num = i * (3.0 + (12.0 * i - 3.0 * a) / root)
-    return min(2.0, max(0.0, num / (a + 2.0 * i + root)))
+    return _two_class_curve((0.0, 1.0, 2.0), (j, 0.0, 0.0))(beta)
 
 
 def _limit_and_law(params: ModelParams) -> tuple[float, str]:
@@ -136,38 +166,32 @@ def _limit_and_law(params: ModelParams) -> tuple[float, str]:
     if params.field != 0.0:
         raise ValueError(f"l(beta -> infinity) is the zero-bias law; field={params.field!r}")
     j = params.couplings.values
-    lev = params.levels
     lowest = min(j)
+    law = _law(params.levels, [v == lowest for v in j])
     if lowest > 0.0:
-        return math.fsum(lev) / params.q, "coupling minimum above 0: mean of all levels"
+        return law(0.0), "coupling minimum above 0: mean of all levels"
     at = [k for k, v in enumerate(j) if v == lowest]
     where = ", ".join(map(str, at))
-    tied = [lev[k] for k in at]
     if lowest < 0.0:
-        law = f"coupling minimum below 0 at levels {where}: their mean"
+        text = f"coupling minimum below 0 at levels {where}: their mean"
         if len(at) == 1:
-            law = f"unique coupling minimum at level {where}"
-        return math.fsum(tied) / len(tied), law
-    z, q = len(tied), params.q
-    mu = 0.5 * ((q - 1) + math.sqrt((q - 1) ** 2 + 4 * z))
-    on_zero, off_zero = (mu + 1.0) ** 2, mu * mu
-    rest = math.fsum(d for d, v in zip(lev, j) if v != lowest)
-    num = math.fsum((on_zero * math.fsum(tied), off_zero * rest))
-    law = f"coupling minimum 0 at level{'s' if z > 1 else ''} {where}: root law"
-    return num / math.fsum((z * on_zero, (q - z) * off_zero)), law
+            text = f"unique coupling minimum at level {where}"
+        return law(0.0, inverse=True), text
+    return law(1.0), f"coupling minimum 0 at level{'s' if len(at) > 1 else ''} {where}: root law"
 
 
 def investment_at_beta_infinity(params: ModelParams) -> float:
     """Exact limit of l(beta) as beta -> infinity at zero bias, for any coupling vector.
 
-    As beta grows every secular gap Delta_a of :mod:`.transfer` tends to 0,
-    1 or infinity, so the limit depends only on the sign of J_min = min J:
+    As beta grows every gap of a level outside the set T attaining
+    J_min = min J tends to infinity, 1 or 0 by the sign of J_min, and the
+    gaps on T are 0, so the limit is the two-class law with A = T:
 
-    - J_min < 0: the mean level over the levels T attaining J_min (mu -> |T|);
-    - J_min > 0: every gap closes, leaving the plain level mean;
-    - J_min = 0: with z zero-coupling levels Z and the rest R, mu is the
-      positive root of z / mu + (q - z) / (mu + 1) = 1, and the dominant
-      eigenvector weighs Z by (mu + 1)^2 against mu^2 on R.
+    - J_min < 0: Delta -> infinity, the mean level over T (mu -> |T|);
+    - J_min > 0: Delta -> 0, every gap closes, leaving the plain level mean;
+    - J_min = 0: Delta -> 1, mu is the positive root of
+      |T| / mu + (q - |T|) / (mu + 1) = 1, and the dominant eigenvector
+      weighs T by (mu + 1)^2 against mu^2 on the rest.
 
     Each weight multiplies a correctly rounded (fsum) level sum, so a
     symmetric case such as couplings (3, 1, 0, 2, 4) gives exactly 2.0.

@@ -277,9 +277,21 @@ class TestCompareMode:
         assert run_cli("--q", "3", "--couplings", "1,2,3", "--compare") == 2
         assert "no closed form" in capsys.readouterr().err
 
-    def test_large_q_has_no_closed_form(self, capsys):
-        assert run_cli("--q", "4", "--couplings", "0,0,0,1", "--compare") == 2
-        assert "q=2" in capsys.readouterr().err
+    def test_three_values_at_q4_have_no_closed_form(self, capsys):
+        assert run_cli("--q", "4", "--couplings", "0,1,2,0", "--compare") == 2
+        assert "no closed form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [[], ["--log-grid", "--beta-min", "0.01", "--beta-max", "1000"]])
+    @pytest.mark.parametrize("q,couplings", [
+        (4, "--couplings=0,-1,-1,0"),
+        (60, "--couplings=" + ",".join(["0.5", "-1.5", "-1.5"] * 20)),
+    ])
+    def test_two_values_at_any_q(self, tmp_path, q, couplings, grid):
+        out = tmp_path / "cmp.csv"
+        assert run_cli("--q", str(q), couplings, "--compare", *grid, "--out", str(out)) == 0
+        _, rows, _ = read_rows(out)
+        assert len(rows) == 200
+        assert self.parse_max_error(out) <= 1e-9
 
     def test_compare_excludes_ensembles_and_limits(self, capsys):
         assert run_cli("--q", "2", "--profile", "random", "--seeds", "1",

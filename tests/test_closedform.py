@@ -1,4 +1,4 @@
-"""Exact small-q investment curves and endpoint classification."""
+"""Exact investment curves from the two-class law, and endpoint classification."""
 
 import math
 
@@ -21,6 +21,9 @@ from pottsinvest import (
     investment_q3_case3,
     per_capita_investment,
 )
+from pottsinvest.closedform import _two_class_curve
+
+from oracles import secular_oracle
 
 
 def naive_q2(beta, j0, j1):
@@ -226,12 +229,99 @@ class TestThreeLevelScaling:
         ),
     )
     @settings(max_examples=500, deadline=None)
-    def test_one_scaled_expression_equals_the_two_branches(self, beta, j):
-        # Scaling by m = max(e^{-beta j}, 1) gives the direct form for j >= 0
-        # and the reciprocal one for j < 0, bit for bit.  The narrow ranges
+    def test_the_law_is_within_1e15_of_the_two_branches(self, beta, j):
+        # Both q = 3 curves are instances of the two-class law, which rounds
+        # differently from the two transcribed branches.  The narrow ranges
         # keep beta |j| moderate, where rounding differences would show.
-        assert investment_q3_case1(beta, j).hex() == two_branch_q3_case1(beta, j).hex()
-        assert investment_q3_case3(beta, j).hex() == two_branch_q3_case3(beta, j).hex()
+        assert abs(investment_q3_case1(beta, j) - two_branch_q3_case1(beta, j)) <= 2e-15
+        assert abs(investment_q3_case3(beta, j) - two_branch_q3_case3(beta, j)) <= 2e-15
+
+
+def two_valued(rng, q):
+    """Couplings taking two values in [-3, 3] on a random partition of q levels.
+
+    One of the values is 0 a quarter of the time, and the two are 1e-15 to
+    1e-6 apart a fifth of the time; either class may be empty.
+    """
+    values = rng.uniform(-3.0, 3.0, 2)
+    if rng.random() < 0.25:
+        values[rng.integers(2)] = 0.0
+    if rng.random() < 0.2:
+        values[1] = values[0] + 10.0 ** rng.uniform(-15.0, -6.0)
+    on_first = rng.random(q) < rng.uniform(0.0, 1.0)
+    return tuple(float(v) for v in np.where(on_first, values[0], values[1]))
+
+
+def params_for(j, beta=1.0, levels=None):
+    return ModelParams(q=len(j), beta=beta, couplings=CouplingProfile(j), levels=levels)
+
+
+class TestTwoClassLaw:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_secular_oracle(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(50):
+            j = two_valued(rng, int(rng.integers(2, 61)))
+            p = params_for(j, float(10.0 ** rng.uniform(-3.0, 2.0)))
+            got = _two_class_curve(p.levels, j)(p.beta)
+            assert abs(got - secular_oracle(p)) <= 1e-14 * (len(j) - 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_capita_investment(self, seed):
+        rng = np.random.default_rng(910 + seed)
+        for _ in range(100):
+            j = two_valued(rng, int(rng.integers(2, 201)))
+            p = params_for(j, float(10.0 ** rng.uniform(-3.0, 3.0)))
+            got = _two_class_curve(p.levels, j)(p.beta)
+            assert abs(got - per_capita_investment(p)) <= 1e-14 * (len(j) - 1)
+
+    def test_mirror_identity(self):
+        # Reversing the couplings on levels 0..q-1 reflects l about (q - 1) / 2.
+        rng = np.random.default_rng(920)
+        for _ in range(300):
+            q = int(rng.integers(2, 201))
+            j = two_valued(rng, q)
+            beta = float(10.0 ** rng.uniform(-3.0, 3.0))
+            levels = params_for(j).levels
+            pair = _two_class_curve(levels, j)(beta) + _two_class_curve(levels, j[::-1])(beta)
+            assert abs(pair - (q - 1)) <= 1e-14 * (q - 1)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("beta", [1e3, 1e300])
+    def test_large_beta_is_the_endpoint_law(self, shift, beta):
+        # Integer couplings keep the spread at least 1, so by beta = 1e3 the
+        # gap is exactly infinity, 1 or 0 as J_min is below, at or above 0.
+        rng = np.random.default_rng(930 + shift)
+        for _ in range(100):
+            q = int(rng.integers(2, 61))
+            low, high = sorted(rng.choice(7, 2, replace=False))
+            on_low = rng.random(q) < 0.5
+            on_low[rng.integers(q)] = True
+            j = tuple(float(v) for v in np.where(on_low, low, high) - low + shift)
+            levels = tuple(np.sort(rng.uniform(-5.0, 5.0, q)).tolist()) if q % 2 else None
+            p = params_for(j, levels=levels)
+            assert _two_class_curve(p.levels, j)(beta) == investment_at_beta_infinity(p)
+
+    def test_beta_zero_is_the_level_mean(self):
+        rng = np.random.default_rng(940)
+        for _ in range(200):
+            q = int(rng.integers(2, 201))
+            levels = tuple(np.sort(rng.uniform(-5.0, 5.0, q)).tolist())
+            assert _two_class_curve(levels, two_valued(rng, q))(0.0) == math.fsum(levels) / q
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 745.0, 1e300])
+    def test_one_value_is_the_level_mean(self, beta):
+        levels = tuple(float(d) for d in range(7))
+        for c in (-2.0, 0.0, 3.0):
+            assert _two_class_curve(levels, (c,) * 7)(beta) == 3.0
+
+    def test_three_values_have_no_closed_form(self):
+        with pytest.raises(ValueError, match="no closed form for couplings with 3 distinct values"):
+            _two_class_curve((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 0.0))
+
+    def test_rejects_a_spread_that_overflows(self):
+        with pytest.raises(ValueError, match="spread"):
+            investment_q2(1.0, 1e308, -1e308)
 
 
 class TestClassifyLimits:
