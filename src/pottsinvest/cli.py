@@ -280,18 +280,9 @@ def _run_ensemble(args: argparse.Namespace, grid: list[float]) -> list[str]:
     return lines
 
 
-def _closed_form_for(params: ModelParams):
-    """The exact curve beta -> l of the run's couplings, from the two-class law.
-
-    Any q whose couplings take at most two distinct values has one; three
-    or more raise ValueError ("no closed form"), a configuration error.
-    """
-    return _two_class_curve(params.levels, params.couplings.values)
-
-
 def _run_compare(args: argparse.Namespace, grid: list[float]) -> list[str]:
     params = _params(args)
-    closed = _closed_form_for(params)
+    closed = _two_class_curve(params.levels, params.couplings.values)
     curve = sweep_curve(params, grid)
     lines = ["beta,l_numeric,l_closed_form,abs_error"]
     max_err = 0.0

@@ -3,8 +3,8 @@
 Each is written for reading, not speed, and shares no code with the
 package beyond the parameter types: the energy of one configuration, the
 dense transfer matrix, the pinned random generator, the secular equation
-and its zero-bias gaps in decimal arithmetic, and a second enumeration of
-the Gibbs average.
+(l and log lambda_1) and its zero-bias gaps in decimal arithmetic, and a
+second enumeration of the Gibbs average.
 """
 
 import functools
@@ -93,14 +93,21 @@ class SplitMix64:
 
 
 def secular_oracle(params):
-    """l(beta, D) from the secular equation in decimal arithmetic on the exact float inputs.
+    """l(beta, D) of :func:`secular_solution`."""
+    return secular_solution(params)[0]
 
-    M = diag(e) + s s^T with c_a = s_a^2 = exp(-beta D d_a) and e_a =
-    exp(-beta (J(a) + D d_a)) - c_a, so lambda_1 = e_max + nu with nu > 0
+
+def secular_solution(params):
+    """(l, log lambda_1) at (beta, D) from the secular equation in decimal arithmetic.
+
+    The arithmetic runs on the exact float inputs.  M = diag(e) + s s^T
+    with c_a = s_a^2 = exp(-beta D d_a) and e_a = exp(-beta (J(a) + D
+    d_a)) - c_a, so lambda_1 = e_max + nu with nu > 0
     the root of sum_a c_a / (nu + Delta_a) = 1, Delta_a = e_max - e_a, and
-    l = sum_a d_a c_a w_a^2 / sum_a c_a w_a^2 with w_a = 1 / (nu + Delta_a).
-    The sum is at least 1 at nu = c_m, where Delta_m = 0, and at most 1 at
-    nu = sum_a c_a, so the root lies between them; bisection in log nu
+    l = sum_a d_a c_a w_a^2 / sum_a c_a w_a^2 with w_a = 1 / (nu + Delta_a),
+    and log lambda_1 = log(e_max + nu) comes from the same root.  The sum
+    is at least 1 at nu = c_m, where Delta_m = 0, and at most 1 at nu =
+    sum_a c_a, so the root lies between them; bisection in log nu
     narrows that bracket to a factor of 2, then Newton runs on the
     reciprocal of the sum from its lower end, where the sum is still at
     least 1, so it climbs to the root from below.  Every float converts to
@@ -141,7 +148,8 @@ def secular_oracle(params):
         else:
             raise AssertionError("decimal Newton did not settle")
         weights = [ca / (nu + da) ** 2 for ca, da in zip(c, delta)]
-        return float(sum(d * wa for d, wa in zip(levels, weights)) / sum(weights))
+        l = sum(d * wa for d, wa in zip(levels, weights)) / sum(weights)
+        return float(l), float((e_max + nu).ln())
 
 
 def zero_bias_gap(x_max, dx):

@@ -28,11 +28,11 @@ from pottsinvest import (
     sweep_curve,
     transfer,
 )
-from oracles import dense_matrix, secular_oracle
+from oracles import dense_matrix, secular_oracle, secular_solution
 
 # The decimal oracle costs up to a second per call at large beta, and the
-# known-limit inputs are checked by two tests.
-cached_oracle = functools.cache(secular_oracle)
+# known-limit inputs are checked by three tests.
+cached_solution = functools.cache(secular_solution)
 
 
 def params_for(q, beta, couplings, field=0.0, levels=None):
@@ -359,6 +359,26 @@ KNOWN_LIMITS = [
     pytest.param((3.0, 0.0, -3.0, 1.0, 3.0), 2.0, 422.0, 1.0, id="J=(3,0,-3,1,3),D=2,beta=422"),
     pytest.param((0.0, 1.0, -5.0, -7.0), 2.0, 117.78603803622242, 2.276393202250021,
                  id="J=(0,1,-5,-7),D=2,beta=117.786"),
+    # J(2) + 2 D = 1 = D (d_0 + d_1) / 2: the crossing is exact at every beta.
+    pytest.param((3.0, 3.0, -3.0, 3.0, 2.0), 2.0, 12.5, 1.2499988471239374,
+                 id="J=(3,3,-3,3,2),D=2,beta=12.5"),
+    pytest.param((3.0, 3.0, -3.0, 3.0, 2.0), 2.0, 20.0, 1.2499999993623632,
+                 id="J=(3,3,-3,3,2),D=2,beta=20"),
+    pytest.param((2.0, 1.0, -3.0, 2.0, -2.0, -3.0), 2.0, 122.5765764208523, 1.0,
+                 id="J=(2,1,-3,2,-2,-3),D=2,beta=122.577"),
+]
+
+# Each known limit and its mirror as (couplings, D, beta), but for the three
+# where dominant_eigenvalue raises ConvergenceError.
+KNOWN_LIMIT_EIGENVALUES = [
+    pytest.param(j, d, case.values[2], id=case.id + side)
+    for case in KNOWN_LIMITS
+    for side, j, d in (("", *case.values[:2]), (",mirror", case.values[0][::-1], -case.values[1]))
+    if (j, d, case.values[2]) not in {
+        ((2.0, 0.0, -3.0), 2.0, 60.0),
+        ((2.0, 2.0, -3.0), 2.0, 117.75),
+        ((3.0, 0.0, -3.0, 1.0, 3.0), 2.0, 422.0),
+    }
 ]
 
 
@@ -519,8 +539,8 @@ class TestBiasedInvestment:
         q = len(couplings)
         p = params_for(q, beta, couplings, field=field)
         mirror = params_for(q, beta, couplings[::-1], field=-field)
-        assert cached_oracle(p) == pytest.approx(want, abs=1e-15)
-        assert cached_oracle(mirror) == pytest.approx(q - 1 - want, abs=1e-15)
+        assert cached_solution(p)[0] == pytest.approx(want, abs=1e-15)
+        assert cached_solution(mirror)[0] == pytest.approx(q - 1 - want, abs=1e-15)
 
     # A uniform state crossing the alternating pair state, or a crossing
     # that a weight floored at 1e-300 decides, gives a wrong l or raises
@@ -534,9 +554,17 @@ class TestBiasedInvestment:
         p = params_for(q, beta, couplings, field=field)
         mirror = params_for(q, beta, couplings[::-1], field=-field)
         forward, mirrored = per_capita_investment(p), per_capita_investment(mirror)
-        assert abs(forward - cached_oracle(p)) <= 1e-14 * (q - 1)
-        assert abs(mirrored - cached_oracle(mirror)) <= 1e-14 * (q - 1)
+        assert abs(forward - cached_solution(p)[0]) <= 1e-14 * (q - 1)
+        assert abs(mirrored - cached_solution(mirror)[0]) <= 1e-14 * (q - 1)
         assert abs(forward + mirrored - (q - 1)) <= 1e-14 * (q - 1)
+
+    # Where l goes wrong, lambda_1 is still well conditioned, and log Z_N
+    # with it: its log is within 4 eps of the decimal one.
+    @pytest.mark.parametrize("couplings,field,beta", KNOWN_LIMIT_EIGENVALUES)
+    def test_log_lambda_is_exact_at_the_known_limits(self, couplings, field, beta):
+        p = params_for(len(couplings), beta, couplings, field=field)
+        want = cached_solution(p)[1]
+        assert abs(dominant_eigenvalue(p)[0] - want) <= 4.0 * 2.0**-52 * abs(want)
 
     @pytest.mark.parametrize("couplings,field", [((-2.0, -1.0), -1.0), ((-1.0, -2.0), 1.0)])
     def test_bias_tie_with_underflowing_weights_splits_evenly(self, couplings, field):
