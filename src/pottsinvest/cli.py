@@ -10,7 +10,7 @@ emitted instead.  Every numeric l(beta) comes from the exact secular
 equation: a single curve's points from
 :func:`.derivatives.sweep_curve`, bit for bit
 :func:`.derivatives.per_capita_investment`, and an ensemble's from the
-batched lanes of :func:`.transfer.investment_lanes`, the same bits again;
+batched lanes of :func:`.derivatives._sweep_lanes`, the same bits again;
 the finite-difference stencil is a library-only cross-check.
 
 Settings come from flags, from a ``key=value`` file via ``--config``

@@ -10,7 +10,9 @@ dominant eigenvector v at any bias: l = sum_a d_a v_a^2 / sum_a v_a^2, a
 convex combination of the levels.  That is the default path, with v_a^2
 and sum_a v_a^2 as the Newton pass that proves the root of a secular solve
 of :mod:`.transfer` holds them, v never normalised, since the division by
-sum_a v_a^2 does that.
+sum_a v_a^2 does that.  Every solve, of one point or of a block of lanes,
+hands back that pair and reads no level; this module alone forms l from
+it and clamps l to [d_0, d_{q-1}].
 
 The paper instead differentiates numerically; passing a
 :class:`StencilConfig` reproduces that as a cross-check.  Two stencils are
@@ -27,8 +29,9 @@ Both beta sweeps live here.  :func:`sweep_curve` solves a single curve
 point by point from one setup, each point bit for bit the value
 :func:`per_capita_investment` gives.  :func:`_sweep_lanes`, behind the
 random-profile ensembles of :mod:`.profiles`, passes every seed's J - J_min
-and J_min with a column of -beta to :func:`.transfer.investment_lanes`, a
-bounded (seeds, betas) block at a time, and forms no exponent itself.  At
+and J_min with a column of -beta to :func:`.transfer._secular_lanes`, a
+bounded (seeds, betas) block at a time, forms no exponent itself, and
+turns the (v^2, S2) pair of every lane into l.  At
 zero bias :mod:`.transfer` alone forms the exponents, and both sweeps take
 the one overflow verdict it raises: a point overflows only when -beta
 J_min or a gap exponent -beta (J(a) - J_min) is not finite.  Lanes never
@@ -46,7 +49,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import ModelParams
-from .transfer import ConvergenceError, _biased_pair, _secular_root, investment_lanes
+from .transfer import ConvergenceError, _biased_pair, _secular_lanes, _secular_root
 
 __all__ = [
     "StencilConfig",
@@ -191,8 +194,17 @@ def per_capita_investment(params: ModelParams, cfg: StencilConfig | None = None)
 
 
 def _checked_grid(betas) -> list[float]:
-    """The beta grid as floats; it must be non-empty, finite, non-negative and increasing."""
-    grid = [float(b) for b in betas]
+    """The beta grid as floats; it must be non-empty, finite, non-negative and increasing.
+
+    A str or bytes grid, whose characters or bytes would read as betas, and
+    bool entries raise ValueError, as :func:`.model._count` rejects bools.
+    """
+    if isinstance(betas, (str, bytes)):
+        raise ValueError("beta grid must be a sequence of numbers, not str or bytes")
+    grid = list(betas)
+    if not {bool, np.bool_}.isdisjoint(map(type, grid)):
+        raise ValueError("beta grid values must be numbers, not bools")
+    grid = [float(b) for b in grid]
     if not grid:
         raise ValueError("beta grid must contain at least one point")
     if any(not math.isfinite(b) or b < 0.0 for b in grid):
@@ -230,9 +242,12 @@ def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
     """l for every (seed, beta) lane as an (n_seeds, n_beta) array; couplings is (n_seeds, q).
 
     A block is a (seeds, betas) rectangle of lanes, each one contiguous
-    row of q levels, in (seed, beta) order.
+    row of q levels, in (seed, beta) order.  l = sum_a d_a v_a^2 / S2 is
+    formed row by row in the v^2 block :func:`.transfer._secular_lanes`
+    hands back, as :func:`_investment` forms one point's, and the whole
+    result is clamped to [d_0, d_{q-1}] once.
     """
-    q = len(levels)
+    q, lev = len(levels), np.array(levels, dtype=float)
     # The grid is increasing and non-negative, so only its first point can be 0.
     skip = 1 if grid[0] == 0.0 else 0
     out = np.full((len(seeds), len(grid)), math.fsum(levels) / q)
@@ -248,9 +263,10 @@ def _sweep_lanes(seeds, couplings, levels, grid) -> np.ndarray:
         for b0 in range(0, len(neg_beta), width):
             b = neg_beta[b0 : b0 + width]
             try:
-                l = investment_lanes(j_span[s0 : s0 + height], j_min[s0 : s0 + height], b, levels)
+                v2, s2 = _secular_lanes(j_span[s0 : s0 + height], j_min[s0 : s0 + height], b)
             except (ValueError, ConvergenceError) as exc:
                 seed, beta = divmod(exc.lane, len(b))
                 raise SweepError(grid[skip + b0 + beta], exc, seed=seeds[s0 + seed]) from exc
-            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = l
-    return out
+            np.multiply(v2, lev, out=v2)
+            out[s0 : s0 + height, skip + b0 : skip + b0 + len(b)] = np.add.reduce(v2, axis=-1) / s2
+    return np.minimum(np.maximum(out, lev[0], out=out), lev[-1], out=out)

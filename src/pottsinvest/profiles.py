@@ -127,7 +127,7 @@ class SeedEnsemble:
 def ensemble_sweep(q: int, seeds: Sequence[int], betas) -> SeedEnsemble:
     """Sweep one random-profile curve per seed and average them pointwise.
 
-    Every (seed, beta > 0) lane is solved by :func:`.transfer.investment_lanes`
+    Every (seed, beta > 0) lane is solved by :func:`.transfer._secular_lanes`
     in blocks (:func:`.derivatives._sweep_lanes`); beta = 0 lanes take the
     exact level mean.  A seed's curve is bitwise the one
     :func:`.derivatives.sweep_curve` gives on its couplings, swept alone or

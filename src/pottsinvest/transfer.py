@@ -40,14 +40,16 @@ powering route.  On log Z's path and on zero-bias l's the reductions are
 called as ufunc methods (np.add.reduce for .sum()), the same loops without
 the Python layer of the ndarray methods, which shows on calls that run
 with cold caches.
-:func:`investment_lanes` runs the unit-weight solve on many coupling
+:func:`_secular_lanes` runs the unit-weight solve on many coupling
 vectors and betas at once, one contiguous row of q levels per lane, each
-row summed as a single point is, so every lane is bit for bit the single
-solve.  log Z_N decides its route once from the same O(q) decomposition:
-N = 1 from the diagonal exponents; N log lambda_1 when interlacing and a
-lower bound on lambda_1 prove the rest of the spectrum below rounding,
-solved from that bound; otherwise Tr M^N of the positive rescaled matrix
-by binary powering, where nothing cancels.
+row summed as a single point is, and hands back every lane's v_a^2 and
+sum_a v_a^2 bit for bit as the single solve does; no zero-bias solve
+reads the levels, and :mod:`.derivatives` forms every l.  log Z_N
+decides its route once from the same O(q) decomposition: N = 1 from the
+diagonal exponents; N log lambda_1 when interlacing and a lower bound on
+lambda_1 prove the rest of the spectrum below rounding, solved from that
+bound; otherwise Tr M^N of the positive rescaled matrix by binary
+powering, where nothing cancels.
 """
 
 from __future__ import annotations
@@ -358,32 +360,31 @@ def dominant_eigenvalue(params: ModelParams) -> tuple[float, np.ndarray]:
     return log_lambda, np.sqrt(v2 / s2)
 
 
-def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
-    """Per-capita investment l at zero bias for every lane of :func:`_secular_start`'s inputs.
+def _secular_lanes(j_span, j_min, neg_beta) -> tuple[np.ndarray, np.ndarray]:
+    """w^2 and S2 = sum_a w_a^2 at zero bias for every lane of :func:`_secular_start`'s inputs.
 
-    The result has the lanes' shape, (seeds, betas) for a block.  Each
-    lane is solved as :func:`_secular_root` solves one point, with the
-    same gaps and start: Newton steps on the concave reciprocal 1 / sum_a
-    w_a, under the same cap, and a lane stops, without adding it, at the
-    first step of at most 1e-14 mu.  Every step runs on the whole block,
-    with the steps of settled lanes set to 0; an overflowing lane's gaps
-    are finite too, so it settles as any lane does and fails only after
-    the loop.  A settled lane recomputes the same pass from its unchanged
-    mu, so it takes exactly the steps it would take alone, and the last
-    pass holds every lane's w^2 and S2 = sum_a w_a^2 as they were in the
-    pass that settled it.  Then l = sum_a d_a w_a^2 / S2, clamped to [d_0,
-    d_{q-1}].  The terms of every sum over levels sit in one contiguous row
-    per lane of a C-ordered work buffer, whatever layout the inputs have,
-    and numpy sums each row with the pairwise loop it runs on a single
-    vector: each lane's bits are those of the single solve, alone, in any
-    block and in any memory layout.
+    w^2 has the lanes' shape plus a last axis of q levels, S2 the lanes'
+    shape, (seeds, betas) for a block: per lane, the pair
+    :func:`_secular_root` returns for one point.  Each lane is solved as
+    that point is, with the same gaps and start: Newton steps on the
+    concave reciprocal 1 / sum_a w_a, under the same cap, and a lane stops,
+    without adding it, at the first step of at most 1e-14 mu.  Every step
+    runs on the whole block, with the steps of settled lanes set to 0; an
+    overflowing lane's gaps are finite too, so it settles as any lane does
+    and fails only after the loop.  A settled lane recomputes the same pass
+    from its unchanged mu, so it takes exactly the steps it would take
+    alone, and the last pass holds every lane's w^2 and S2 as they were in
+    the pass that settled it.  The terms of every sum over levels sit in
+    one contiguous row per lane of a C-ordered work buffer, whatever layout
+    the inputs have, and numpy sums each row with the pairwise loop it runs
+    on a single vector: each lane's bits are those of the single solve,
+    alone, in any block and in any memory layout.
 
     A lane that is not finite raises ValueError, and a lane whose last
     step is not 0, a nan step included, raises :class:`ConvergenceError`;
     the exception's ``lane`` attribute is the lowest such lane, as a flat
     index in C order.
     """
-    lev = np.asarray(levels, dtype=float)
     delta, mu, finite = _secular_start(j_span, j_min, neg_beta)
     pair = np.empty((2,) + delta.shape)
     w, ww = pair
@@ -402,9 +403,7 @@ def investment_lanes(j_span, j_min, neg_beta, levels) -> np.ndarray:
         exc = _unsettled(float(step.flat[lane])) if finite.flat[lane] else ValueError(_OVERFLOW)
         exc.lane = lane
         raise exc
-    np.multiply(ww, lev, out=w)
-    l = np.add.reduce(w, axis=-1) / s2[..., 0]
-    return np.minimum(np.maximum(l, lev[0]), lev[-1])
+    return ww, s2[..., 0]
 
 
 def _lambda1_floor(diag: np.ndarray, c: np.ndarray) -> float:

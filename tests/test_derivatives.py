@@ -18,6 +18,7 @@ from pottsinvest import (
     central_difference,
     derivatives,
     dominant_eigenvalue,
+    ensemble_sweep,
     investment_q2,
     investment_q3_case1,
     investment_q3_case2,
@@ -26,7 +27,6 @@ from pottsinvest import (
     per_capita_investment,
     richardson_difference,
     sweep_curve,
-    transfer,
 )
 from oracles import dense_matrix, secular_oracle, secular_solution
 
@@ -40,6 +40,16 @@ def params_for(q, beta, couplings, field=0.0, levels=None):
         q=q, beta=beta, couplings=CouplingProfile(tuple(couplings)),
         field=field, levels=levels,
     )
+
+
+def oracle_draw(seed):
+    """The biased model of ``seed``: q in 2..20, J and D uniform, beta log-uniform to 40."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(2, 21))
+    couplings = rng.uniform(-2.0, 2.0, q)
+    field = float(rng.uniform(-1.0, 1.0))
+    beta = 10.0 ** rng.uniform(-2.0, 1.6)
+    return params_for(q, beta, couplings, field=field)
 
 
 def analytic_bias_derivative_q2(beta, j0, j1):
@@ -240,6 +250,11 @@ class TestPerCapitaInvestment:
         p = params_for(10, 1.0, range(10))
         assert per_capita_investment(p) == 9.0
         assert sweep_curve(p, [1.0]).points == ((1.0, 9.0),)
+        # The same pair from the lane block of an ensemble, one seed at
+        # two betas; l is formed in place in the block handed back.
+        block = np.tile(weights, (1, 2, 1)), np.full((1, 2), weights.sum())
+        monkeypatch.setattr(derivatives, "_secular_lanes", lambda j_span, j_min, neg_beta: block)
+        assert ensemble_sweep(10, [1], [1.0, 2.0]).curves[0].points == ((1.0, 9.0), (2.0, 9.0))
 
 
 # Integer couplings in [-3, 3] make tied minima common.
@@ -335,17 +350,16 @@ class TestNearTiedMinima:
         p = params_for(q, beta, couplings, field=field)
         want = secular_oracle(p)
         assert abs(per_capita_investment(p) - want) <= 1e-14 * (q - 1)
-        j = np.array(couplings)
-        lane = transfer.investment_lanes(
-            (j - j.min())[None, :], j.min(keepdims=True), -beta, p.levels
-        )
-        assert abs(float(lane[0]) - want) <= 1e-14 * (q - 1)
+        lane = derivatives._sweep_lanes((0,), np.array([couplings]), p.levels, [beta])
+        assert abs(float(lane[0, 0]) - want) <= 1e-14 * (q - 1)
 
 
 # Inputs where the biased solve is wrong today, with the oracle's exact l
-# (README "Known limits", ROADMAP item 1).  All but the last cross a
-# uniform state with the alternating pair state; in the last a weight
-# below the 1e-300 floor decides a crossing of two uniform states.
+# (README "Known limits", ROADMAP items 1 and 12).  In (0, 1, -5, -7) and
+# the last four a weight below the 1e-300 floor decides a crossing of two
+# uniform states; the mirror of seed 48942 lies near a crossing of a
+# uniform state with the alternating pair state, and the rest are at one.
+SEED_48942 = oracle_draw(48942)
 KNOWN_LIMITS = [
     pytest.param((2.0, 0.0, -3.0), 2.0, beta, (5.0 - math.sqrt(3.0)) / 4.0,
                  id=f"J=(2,0,-3),D=2,beta={beta:g}")
@@ -366,6 +380,25 @@ KNOWN_LIMITS = [
                  id="J=(3,3,-3,3,2),D=2,beta=20"),
     pytest.param((2.0, 1.0, -3.0, 2.0, -2.0, -3.0), 2.0, 122.5765764208523, 1.0,
                  id="J=(2,1,-3,2,-2,-3),D=2,beta=122.577"),
+    # The mirror of seed 48942 of test_matches_the_secular_oracle, where
+    # level 3's uniform state lies 1e-3 above the pair state of levels 0
+    # and 1.  The seed's own draw, checked as the mirror here, returns l
+    # 7.7e-13 above 18.47062255326622, since the exponents y - t round at
+    # the size of t, near 161; this side is 2e-14 off.
+    pytest.param(SEED_48942.couplings.values[::-1], -SEED_48942.field, SEED_48942.beta,
+                 0.5293774467337804, id="J=reversed(seed 48942),D=0.783,beta=11.126"),
+] + [
+    # Levels 0 and 5 tie in J + D d, and level 5's scaled weight,
+    # e^(-12 beta), is below the floor, which then decides the split: l is
+    # all but 0, and the solve returns 2.5.
+    pytest.param((-2.0, -1.0, -3.0, 0.0, 2.0, -12.0), 2.0, beta, want,
+                 id=f"J=(-2,-1,-3,0,2,-12),D=2,beta={beta:g}")
+    for beta, want in (
+        (80.0, 1.6287442661037608e-69),
+        (100.0, 6.919482633683687e-87),
+        (115.91, 1.0491152729964389e-100),
+        (130.0, 6.059052415414287e-113),
+    )
 ]
 
 # Each known limit and its mirror as (couplings, D, beta), but for the three
@@ -488,13 +521,8 @@ class TestBiasedInvestment:
         # Continuous draws land on no exact crossing of two states, where
         # the known limits below live.  The oracle solves the same secular
         # equation in decimal arithmetic, so no spectral gap weighs the error.
-        rng = np.random.default_rng(seed)
-        q = int(rng.integers(2, 21))
-        couplings = rng.uniform(-2.0, 2.0, q)
-        field = float(rng.uniform(-1.0, 1.0))
-        beta = 10.0 ** rng.uniform(-2.0, 1.6)
-        p = params_for(q, beta, couplings, field=field)
-        assert abs(per_capita_investment(p) - secular_oracle(p)) <= 1e-14 * (q - 1)
+        p = oracle_draw(seed)
+        assert abs(per_capita_investment(p) - secular_oracle(p)) <= 1e-14 * (p.q - 1)
 
     def test_crossing_of_two_uniform_states(self):
         # J + D d is -2 at levels 0 and 2, so their uniform states cross and
@@ -634,6 +662,15 @@ class TestSweepCurve:
             sweep_curve(p, [-1.0, 0.0])
         with pytest.raises(ValueError):
             sweep_curve(p, [0.0, 1.0, 1.0])
+
+    # A str or bytes grid would sweep its characters or bytes, "12" as
+    # beta = 1, 2 and b"05" as 48, 53, and bools would sweep as 0 and 1.
+    @pytest.mark.parametrize(
+        "grid", ["12", "05", b"05", [False, True], [0.5, True], np.array([False, True])]
+    )
+    def test_rejects_strings_and_bools(self, grid):
+        with pytest.raises(ValueError, match="str or bytes|bools"):
+            sweep_curve(params_for(2, 0.0, (1.0, -1.0)), grid)
 
     def test_failure_names_the_grid_point(self):
         p = params_for(2, 0.0, (-1e308, 0.0))

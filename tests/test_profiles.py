@@ -192,6 +192,13 @@ class TestEnsembleSweep:
         with pytest.raises(ValueError):
             ensemble_sweep(5, [], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "grid", ["12", "05", b"05", [False, True], [0.5, True], np.array([False, True])]
+    )
+    def test_rejects_strings_and_bools_as_grids(self, grid):
+        with pytest.raises(ValueError, match="str or bytes|bools"):
+            ensemble_sweep(3, [1], grid)
+
 
 # Increasing grids that start at 0 and end at 1e3.
 beta_grids = st.lists(
@@ -214,7 +221,7 @@ LINEAR_GRID = np.linspace(0.0, 10.0, 200).tolist()
 
 
 class TestOneZeroBiasL:
-    """An ensemble member's l is the single curve's, bit for bit, at every q."""
+    """An ensemble member's l, and each lane's (v^2, S2), is the single solve's, bit for bit."""
 
     @given(
         q=st.integers(2, 200),
@@ -231,7 +238,18 @@ class TestOneZeroBiasL:
     @example(q=130, seeds=[3, 4, 5], grid=LOG_GRID, picks=[0, 60, 80])
     @settings(max_examples=60, deadline=None)
     def test_ensemble_values_are_the_single_curve(self, q, seeds, grid, picks):
-        ens = ensemble_sweep(q, seeds, grid)
+        # Every block the ensemble solves is kept with its (v^2, S2), copied
+        # before l is formed in place in v^2.
+        blocks = []
+
+        def solve(j_span, j_min, neg_beta):
+            v2, s2 = transfer._secular_lanes(j_span, j_min, neg_beta)
+            blocks.append((j_span, j_min, neg_beta, v2.copy(), s2.copy()))
+            return v2, s2
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(derivatives, "_secular_lanes", solve)
+            ens = ensemble_sweep(q, seeds, grid)
         for seed, curve in zip(seeds, ens.curves):
             couplings = make_profile(ProfileSpec("random", q, seed))
             alone = sweep_curve(ModelParams(q, 0.0, couplings), grid)
@@ -239,6 +257,17 @@ class TestOneZeroBiasL:
             for k in picks:
                 beta, l = curve.points[k % len(grid)]
                 assert per_capita_investment(ModelParams(q, beta, couplings)) == l
+        # Each lane's pair is the one _secular_root returns at that point.
+        lanes = 0
+        for j_span, j_min, neg_beta, v2, s2 in blocks:
+            assert v2.shape == s2.shape + (q,)
+            for (seed, k), s2_lane in np.ndenumerate(s2):
+                w2, s2_point = transfer._secular_root(
+                    j_span[seed, 0], j_min[seed, 0], float(neg_beta[k, 0])
+                )
+                assert (v2[seed, k].tobytes(), s2_lane) == (w2.tobytes(), s2_point)
+                lanes += 1
+        assert lanes == len(seeds) * sum(b > 0.0 for b in grid)
 
     @pytest.mark.parametrize("grid", [[0.0, 1e308], [1e308, 1.7e308]])
     def test_a_diagonal_entry_below_the_double_range_is_zero(self, grid):
@@ -317,11 +346,11 @@ class TestBatchedEnsemble:
         q, seeds, grid = 60, (1, 2), np.linspace(0.0, 10.0, 2000).tolist()
         sizes = []
 
-        def solve(j_span, j_min, neg_beta, levels):
+        def solve(j_span, j_min, neg_beta):
             sizes.append(np.broadcast(j_span, neg_beta).size)  # exponents in the block
-            return transfer.investment_lanes(j_span, j_min, neg_beta, levels)
+            return transfer._secular_lanes(j_span, j_min, neg_beta)
 
-        monkeypatch.setattr(derivatives, "investment_lanes", solve)
+        monkeypatch.setattr(derivatives, "_secular_lanes", solve)
         split = ensemble_sweep(q, seeds, grid)
         assert len(sizes) == 4 and max(sizes) <= derivatives._BLOCK
         monkeypatch.setattr(derivatives, "_BLOCK", q * len(seeds) * len(grid))

@@ -301,7 +301,7 @@ class TestSecularStart:
 
 
 def count_steps(monkeypatch, nan_lane=None):
-    """Make investment_lanes' starts count the Newton steps added to them, one entry a step.
+    """Make _secular_lanes' starts count the Newton steps added to them, one entry a step.
 
     The start of lane ``nan_lane``, if given, is nan.
     """
@@ -323,18 +323,27 @@ def count_steps(monkeypatch, nan_lane=None):
 
 
 def solve_at_beta_one(*lanes):
-    """investment_lanes at beta = 1 and levels (0, 1) on (J - J_min, J_min) lanes."""
+    """_secular_lanes at beta = 1 on (J - J_min, J_min) lanes."""
     span, j_min = zip(*lanes)
-    return transfer.investment_lanes(np.array(span), np.array(j_min)[:, None], -1.0, (0.0, 1.0))
+    return transfer._secular_lanes(np.array(span), np.array(j_min)[:, None], -1.0)
 
 
-class TestInvestmentLanes:
+def lane_bytes(*args):
+    """The bytes of the (v^2, S2) pair _secular_lanes hands back for ``args``."""
+    return tuple(a.tobytes() for a in transfer._secular_lanes(*args))
+
+
+class TestSecularLanes:
     def test_tied_minima_stay_exact(self):
-        # One coupling vector at two betas: the lanes are (betas,).
+        # One coupling vector at two betas: the lanes are (betas,), and the
+        # pair block is (betas, q).
         j = np.array([-1.0, -1.0, 0.0])
         neg_beta = -np.array([[40.0], [1000.0]])
-        lanes = transfer.investment_lanes(j - j.min(), j.min(keepdims=True), neg_beta, (0, 1, 2))
-        assert lanes.tolist() == [0.5, 0.5]
+        v2, s2 = transfer._secular_lanes(j - j.min(), j.min(keepdims=True), neg_beta)
+        assert v2.shape == (2, 3) and s2.shape == (2,)
+        assert v2[:, 0].tolist() == v2[:, 1].tolist()
+        # Level 2's term, below e^-80, leaves S2 the tied pair's sum.
+        assert (v2[:, 0] + v2[:, 1]).tolist() == s2.tolist()
 
     @pytest.mark.parametrize("q", [8, 9, 15, 60])
     def test_bits_do_not_depend_on_block_or_layout(self, q):
@@ -345,23 +354,22 @@ class TestInvestmentLanes:
         neg_beta = -rng.uniform(0.01, 10.0, (1000, 1))
         j_min = j.min(axis=1, keepdims=True)
         span = j - j_min
-        levels = tuple(float(a) for a in range(q))
-        want = transfer.investment_lanes(span, j_min, neg_beta, levels).tobytes()
+        want = lane_bytes(span, j_min, neg_beta)
         for n in (1, 2, 3):
             spans = range(0, 1000, n)
             views = [span[i : i + n] for i in spans]
             for blocks in (views, [span[i : i + n].copy() for i in spans]):
-                lanes = [
-                    transfer.investment_lanes(b, j_min[i : i + n], neg_beta[i : i + n], levels)
+                pairs = [
+                    transfer._secular_lanes(b, j_min[i : i + n], neg_beta[i : i + n])
                     for b, i in zip(blocks, spans)
                 ]
-                assert np.concatenate(lanes).tobytes() == want
+                assert tuple(np.concatenate(a).tobytes() for a in zip(*pairs)) == want
         for layout in (
             np.asfortranarray(span),
             np.ascontiguousarray(span.T).T,  # the level-major (q, n) array, viewed lane-major
             np.stack([span, span], axis=-1)[..., 0],  # strided in both axes
         ):
-            assert transfer.investment_lanes(layout, j_min, neg_beta, levels).tobytes() == want
+            assert lane_bytes(layout, j_min, neg_beta) == want
 
     def test_failure_names_the_lowest_failing_lane(self, monkeypatch):
         monkeypatch.setattr(transfer, "_NEWTON_CAP", 1)
@@ -384,7 +392,7 @@ class TestInvestmentLanes:
         calls = count_steps(monkeypatch, nan_lane=1)
         span = np.array([[2.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ConvergenceError) as info:
-            transfer.investment_lanes(span, -np.ones((3, 1)), -1.0, (0.0, 1.0))
+            transfer._secular_lanes(span, -np.ones((3, 1)), -1.0)
         assert info.value.lane == 1
         assert math.isnan(info.value.residual)
         assert len(calls) >= transfer._NEWTON_CAP
@@ -425,11 +433,15 @@ class TestInvestmentLanes:
             j = np.array([couplings for couplings, _ in lanes])
             j_min = j.min(axis=1, keepdims=True)
             neg_beta = -np.array([[beta] for _, beta in lanes])
-            return transfer.investment_lanes(j - j_min, j_min, neg_beta, (0.0, 1.0, 2.0, 3.0))
+            return transfer._secular_lanes(j - j_min, j_min, neg_beta)
 
         finite = [lane for lane in lanes if lane is not overflow]
+        v2, s2 = block(finite)
+        for (j, beta), v2_lane, s2_lane in zip(finite, v2, s2):
+            j = np.array(j)
+            w2, s2_point = transfer._secular_root(j - j.min(), j.min(keepdims=True), -beta)
+            assert (v2_lane.tobytes(), s2_lane) == (w2.tobytes(), s2_point)
         points = [per_capita_investment(params_for(4, b, j)) for j, b in finite]
-        assert block(finite).tolist() == points
         assert points[2:5] == [0.0, 1.5, 0.0]
         calls = count_steps(monkeypatch)
         slowest = 0
